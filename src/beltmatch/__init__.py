@@ -35,7 +35,6 @@ from .mutation import (
     exchange_matrix,
     initial_seed,
     mutate_matrix,
-    mutate_seed,
     noninitial_variables,
     variable_names,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "matching_polynomial",
     "matching_polynomial_by_enumeration",
     "mutate_matrix",
-    "mutate_seed",
     "noninitial_variables",
     "perfect_matchings",
     "positive_roots",

@@ -2,8 +2,9 @@
 
 Subcommands: roots, belt, variables, graphs, expand, verify.  JSON is the
 primary output format; the text format renders the same data.  All output
-is deterministic (terms and records sorted canonically) regardless of the
-parallelism degree.  Exit codes: 0 success / all checks pass, 1 a
+is deterministic (terms and records sorted canonically).  ``verify --jobs N``
+is accepted for compatibility only: checks always run one at a time, so N
+changes nothing.  Exit codes: 0 success / all checks pass, 1 a
 verification check failed, 2 usage error.
 """
 
@@ -17,17 +18,18 @@ from pathlib import Path
 from .errors import BijectionError, IterationLimitError, UnsupportedTypeError
 from .laurent import LaurentPolynomial
 from .matchenum import cluster_expansion
-from .mutation import belt, check_supported, exchange_matrix, noninitial_variables, variable_names
-from .rootsys import CartanSpec, positive_roots
+from .mutation import (
+    belt,
+    check_supported,
+    column_labels,
+    noninitial_variables,
+    roots,
+    variable_names,
+)
 from .tilegraphs import enumerate_family, graph_for_root, realize, tilegraph_to_json, to_dot
 from .verify import run_checks
 
 USAGE_ERROR = 2
-
-
-def _roots(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    spec = CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank))
-    return positive_roots(spec)
 
 
 def _parse_root(text: str, rank: int) -> tuple[int, ...]:
@@ -45,10 +47,10 @@ def _root_filename(family: str, rank: int, root: tuple[int, ...]) -> str:
 
 
 def cmd_roots(args: argparse.Namespace) -> tuple[int, str]:
-    roots = _roots(args.type, args.rank)
+    found = roots(args.type, args.rank)
     if args.format == "json":
-        return 0, json.dumps([list(r) for r in roots])
-    return 0, "\n".join(",".join(str(c) for c in r) for r in roots)
+        return 0, json.dumps([list(r) for r in found])
+    return 0, "\n".join(",".join(str(c) for c in r) for r in found)
 
 
 def _pretty(poly: LaurentPolynomial, names: tuple[str, ...]) -> str:
@@ -63,21 +65,15 @@ def cmd_belt(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         return 0, lattice.to_json()
     names = variable_names(args.type, args.rank)
+    labels = column_labels(args.type, args.rank)
     lines = []
     for row in lattice.rows():
         lines.append(
             "   ".join(
-                f"x{_collabel(args, c.slot)}^({c.superscript})={_pretty(c.value, names)}"
-                for c in row
+                f"x{labels[c.slot]}^({c.superscript})={_pretty(c.value, names)}" for c in row
             )
         )
     return 0, "\n".join(lines)
-
-
-def _collabel(args: argparse.Namespace, slot: int) -> str:
-    from .mutation import column_labels
-
-    return column_labels(args.type, args.rank)[slot]
 
 
 def cmd_variables(args: argparse.Namespace) -> tuple[int, str]:
@@ -109,11 +105,10 @@ def cmd_graphs(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
     root = _parse_root(args.root, args.rank)
-    names = variable_names(args.type, args.rank)
-    expansion = cluster_expansion(args.type, args.rank, root)
-    split = expansion.split()
     if args.format == "dot":
         return 0, to_dot(realize(graph_for_root(args.type, args.rank, root)))
+    names = variable_names(args.type, args.rank)
+    split = cluster_expansion(args.type, args.rank, root).split()
     if args.format == "json":
         payload = {
             "root": list(root),
@@ -127,7 +122,7 @@ def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     checks = [part.strip() for part in args.checks.split(",") if part.strip()]
-    report = run_checks(args.type, args.rank, checks, jobs=args.jobs)
+    report = run_checks(args.type, args.rank, checks)
     if args.format == "json":
         return (0 if report.passed else 1), report.to_json()
     lines = []
@@ -175,7 +170,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated: theorem,diamonds,condensation,centerone,excision,folding or all",
     )
-    p_verify.add_argument("--jobs", type=int, default=1, help="parallel check evaluation")
+    p_verify.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="accepted for compatibility; checks always run one at a time",
+    )
     return parser
 
 

@@ -11,8 +11,12 @@ with 1bar stored in slot 1 of the ambient ring.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import BijectionError, IterationLimitError, UnsupportedTypeError
 from .laurent import LaurentPolynomial
@@ -32,11 +36,6 @@ def check_supported(family: str, rank: int) -> None:
             raise UnsupportedTypeError("G2 has rank exactly 2")
     elif rank < _MIN_RANK[family]:
         raise UnsupportedTypeError(f"{family}_{rank} is below the minimum supported rank")
-
-
-def ambient_size(family: str, rank: int) -> int:
-    """Number of cluster variables (= matrix size = ambient ring size)."""
-    return rank
 
 
 def variable_names(family: str, rank: int) -> tuple[str, ...]:
@@ -97,6 +96,12 @@ def exchange_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
     elif family == "C":
         rows[0][1] = 2
     return tuple(tuple(r) for r in rows)
+
+
+@cache
+def roots(family: str, rank: int) -> tuple[RootVector, ...]:
+    """The positive roots of the Cartan matrix derived from ``exchange_matrix``."""
+    return positive_roots(CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank)))
 
 
 def parity_groups(family: str, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -179,17 +184,8 @@ class ExchangeMatrix:
                         stack.append(j)
                     elif d[j] != scaled:
                         return None
-        lcm_den = 1
-        for value in d:
-            assert value is not None
-            lcm_den = lcm_den * value.denominator // _gcd(lcm_den, value.denominator)
+        lcm_den = math.lcm(*(value.denominator for value in d))
         return tuple(int(value * lcm_den) for value in d)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -219,16 +215,11 @@ class Seed:
 
 def initial_seed(family: str, rank: int) -> Seed:
     check_supported(family, rank)
-    n = ambient_size(family, rank)
-    cluster = tuple(LaurentPolynomial.variable(i, n) for i in range(n))
+    cluster = tuple(LaurentPolynomial.variable(i, rank) for i in range(rank))
     matrix = ExchangeMatrix(exchange_matrix(family, rank))
     if not matrix.is_bipartite():
         raise ValueError("initial exchange matrix must have rows of like sign")
     return Seed(cluster, matrix)
-
-
-def mutate_seed(seed: Seed, k: int) -> Seed:
-    return seed.mutate(k)
 
 
 @dataclass(frozen=True)
@@ -247,11 +238,13 @@ class BeltLattice:
     cells: tuple[BeltCell, ...]
     sweeps: int
 
+    @cached_property
+    def values(self) -> Mapping[tuple[int, int], LaurentPolynomial]:
+        """Every cell value keyed by (slot, superscript); read-only, as belts are shared."""
+        return MappingProxyType({(cell.slot, cell.superscript): cell.value for cell in self.cells})
+
     def value(self, slot: int, superscript: int) -> LaurentPolynomial | None:
-        for cell in self.cells:
-            if cell.slot == slot and cell.superscript == superscript:
-                return cell.value
-        return None
+        return self.values.get((slot, superscript))
 
     def rows(self) -> list[list[BeltCell]]:
         by_sup: dict[int, list[BeltCell]] = {}
@@ -264,16 +257,6 @@ class BeltLattice:
         out.append(sorted((c for c in initial if c.slot in even), key=lambda c: c.slot))
         for sup in sorted(by_sup):
             out.append(sorted(by_sup[sup], key=lambda c: c.slot))
-        return out
-
-    def noninitial(self) -> list[BeltCell]:
-        out = []
-        for cell in self.cells:
-            if cell.superscript == 0:
-                continue
-            denominator = cell.value.split().denominator
-            if all(d >= 0 for d in denominator) and any(denominator):
-                out.append(cell)
         return out
 
     def to_json(self) -> str:
@@ -297,21 +280,35 @@ class BeltLattice:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+def _noninitial_denominator(value: LaurentPolynomial) -> RootVector | None:
+    """The denominator vector of a non-initial variable; None for an initial one.
+
+    Initial variables (and their reappearance at the end of the period) split
+    with a -1 entry; non-initial ones with a nonzero nonnegative vector.
+    """
+    denominator = value.split().denominator
+    if all(d >= 0 for d in denominator) and any(denominator):
+        return denominator
+    return None
+
+
+@cache
 def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
     """Generate belt rows until the denominator vectors cover all positive roots.
 
     Exceeding the row cap (default 2*(h+2) sweeps, h the Coxeter number)
-    without covering every positive root raises IterationLimitError.
+    without covering every positive root raises IterationLimitError.  The
+    lattice is immutable and cached per (family, rank, max_rows).
     """
     check_supported(family, rank)
-    roots = set(positive_roots(CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank))))
+    wanted = set(roots(family, rank))
     cap = max_rows if max_rows is not None else 2 * (coxeter_number(family, rank) + 2)
     odd, even = parity_groups(family, rank)
     seed = initial_seed(family, rank)
     cells = [BeltCell(slot, 0, seed.cluster[slot]) for slot in range(seed.matrix.n)]
     covered: set[RootVector] = set()
     sweep = 0
-    while covered != roots:
+    while covered != wanted:
         sweep += 1
         if sweep > cap:
             raise IterationLimitError(
@@ -323,37 +320,36 @@ def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
         for k in group:
             value = seed.cluster[k]
             cells.append(BeltCell(k, sweep, value))
-            denominator = value.split().denominator
-            if all(d >= 0 for d in denominator) and any(denominator):
+            denominator = _noninitial_denominator(value)
+            if denominator is not None:
                 covered.add(denominator)
     return BeltLattice(family, rank, tuple(cells), sweep)
 
 
-def noninitial_variables(family: str, rank: int) -> dict[RootVector, LaurentPolynomial]:
-    """All non-initial cluster variables keyed by denominator vector.
-
-    Exactly one entry per positive root, with pairwise distinct values;
-    anything else raises BijectionError.
-    """
-    lattice = belt(family, rank)
-    roots = set(
-        positive_roots(CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank)))
-    )
+@cache
+def _variables(family: str, rank: int) -> dict[RootVector, LaurentPolynomial]:
     out: dict[RootVector, LaurentPolynomial] = {}
-    for cell in lattice.cells:
-        if cell.superscript == 0:
-            continue
-        denominator = cell.value.split().denominator
-        if not (all(d >= 0 for d in denominator) and any(denominator)):
-            continue  # an initial variable reappearing at the end of the period
+    for cell in belt(family, rank).cells:
+        denominator = _noninitial_denominator(cell.value)
+        if denominator is None:
+            continue  # an initial variable, in row 0 or at the end of the period
         seen = out.get(denominator)
         if seen is not None and seen != cell.value:
             raise BijectionError(f"two distinct variables share denominator {denominator}")
         out[denominator] = cell.value
-    if set(out) != roots:
+    if set(out) != set(roots(family, rank)):
         raise BijectionError(
             f"denominator vectors {sorted(out)} do not match the positive roots"
         )
     if len(set(out.values())) != len(out):
         raise BijectionError("cluster variables are not pairwise distinct")
     return out
+
+
+def noninitial_variables(family: str, rank: int) -> dict[RootVector, LaurentPolynomial]:
+    """All non-initial cluster variables keyed by denominator vector.
+
+    Exactly one entry per positive root, with pairwise distinct values;
+    anything else raises BijectionError.  Each call returns a fresh dict.
+    """
+    return dict(_variables(family, rank))

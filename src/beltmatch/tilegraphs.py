@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable, Sequence, Union
 
 from .errors import BijectionError, StructureError
 from .laurent import LaurentPolynomial
-from .mutation import ambient_size, check_supported, exchange_matrix, variable_names
-from .rootsys import CartanSpec, RootVector, positive_roots
+from .mutation import check_supported, roots, variable_names
+from .rootsys import RootVector
 
 Weight = Union[int, None]  # ambient variable slot, None for a unit edge
 
@@ -206,7 +207,7 @@ class TileGraph:
 
 
 def _mu_from_tiles(family: str, rank: int, indices: Iterable[int]) -> RootVector:
-    mu = [0] * ambient_size(family, rank)
+    mu = [0] * rank
     for index in indices:
         mu[_slot(family, index)] += 1
     return tuple(mu)
@@ -221,8 +222,9 @@ def _make_graph(family: str, rank: int, layout: Layout) -> TileGraph:
 # -- family catalogues ---------------------------------------------------------
 
 
+@cache
 def enumerate_family(family: str, rank: int) -> tuple[TileGraph, ...]:
-    """All family graphs, sorted by tile-multiplicity vector."""
+    """All family graphs, sorted by tile-multiplicity vector (cached, immutable)."""
     check_supported(family, rank)
     graphs: list[TileGraph] = []
     if family in ("A", "C"):
@@ -303,14 +305,17 @@ def _double_hex_graph(family: str, rank: int, p: int, b: int) -> TileGraph:
     return _make_graph(family, rank, DoubleHexLayout(west, bridge, left_tower, right_tower))
 
 
+@cache
+def _family_by_mu(family: str, rank: int) -> dict[RootVector, TileGraph]:
+    return {g.mu: g for g in enumerate_family(family, rank)}
+
+
 def graph_for_root(family: str, rank: int, root: RootVector) -> TileGraph:
     """The unique family member whose multiplicity vector equals ``root``."""
-    spec = CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank))
-    if tuple(root) not in positive_roots(spec):
+    if tuple(root) not in roots(family, rank):
         raise BijectionError(f"{root} is not a positive root of {family}_{rank}")
-    by_mu = {g.mu: g for g in enumerate_family(family, rank)}
     try:
-        return by_mu[tuple(root)]
+        return _family_by_mu(family, rank)[tuple(root)]
     except KeyError:
         raise BijectionError(f"no family graph has multiplicity vector {root}") from None
 
@@ -419,19 +424,22 @@ def _attach_trapezoid(
 
 def _attach_tower(
     builder: _GraphBuilder,
-    hex_verts: list[str],
+    base: tuple[str, str],
     prefix: str,
     tiles: dict[int, Tile],
     indices: Sequence[int],
 ) -> tuple[str, str]:
-    """Stack rotated squares on the hexagon's northern edge; returns the top rung."""
-    left, right = hex_verts[0], hex_verts[1]
+    """Stack rotated squares on the ``base`` rung (left, right); returns the top rung.
+
+    Rung k is named ``{prefix}t{k}l`` / ``{prefix}t{k}r``.
+    """
+    left, right = base
     for level, index in enumerate(indices, start=1):
         tile = tiles[index]
         if tile.shape != "square":
             raise StructureError(f"tower tile T{index_label(index)} is not a square")
-        new_left = f"{prefix}.t{level}l"
-        new_right = f"{prefix}.t{level}r"
+        new_left = f"{prefix}t{level}l"
+        new_right = f"{prefix}t{level}r"
         builder.edge(left, new_left, tile.weight("W"), f"T{index}.W")
         builder.edge(new_left, new_right, None, f"T{index}.N")
         builder.edge(new_right, right, tile.weight("E"), f"T{index}.E")
@@ -443,7 +451,7 @@ def realize(tg: TileGraph) -> MatchingGraph:
     """Concrete weighted vertex/edge graph for a tile graph."""
     family, rank = tg.family, tg.rank
     tiles = tile_set(family, rank)
-    nvars = ambient_size(family, rank)
+    nvars = rank
     names = variable_names(family, rank)
     layout = tg.layout
 
@@ -476,22 +484,15 @@ def realize(tg: TileGraph) -> MatchingGraph:
         return builder.build()
 
     if isinstance(layout, TowerLayout):
-        base_l, base_r = "t0l", "t0r"
-        builder.edge(base_l, base_r, None, "tower.base")
-        for level, index in enumerate(layout.indices, start=1):
-            tile = tiles[index]
-            new_l, new_r = f"t{level}l", f"t{level}r"
-            builder.edge(base_l, new_l, tile.weight("W"), f"T{index}.W")
-            builder.edge(new_l, new_r, None, f"T{index}.N")
-            builder.edge(new_r, base_r, tile.weight("E"), f"T{index}.E")
-            base_l, base_r = new_l, new_r
+        builder.edge("t0l", "t0r", None, "tower.base")
+        _attach_tower(builder, ("t0l", "t0r"), "", tiles, layout.indices)
         return builder.build()
 
     if isinstance(layout, HexBaseLayout):
         hex_verts = _hex_cycle(builder, "h1", tiles[2])
         for pos, index in layout.traps:
             _attach_trapezoid(builder, hex_verts, "h1", pos, tiles[index])
-        _attach_tower(builder, hex_verts, "h1", tiles, layout.tower)
+        _attach_tower(builder, (hex_verts[0], hex_verts[1]), "h1.", tiles, layout.tower)
         return builder.build()
 
     if isinstance(layout, DoubleHexLayout):
@@ -521,8 +522,8 @@ def _realize_double_hex(
     # independent of the tower heights.
     builder.edge(hex1[2], hex2[4], bridge.weight("N"), "bridge.N")
     builder.edge(hex1[3], hex2[5], None, "bridge.S")
-    _attach_tower(builder, hex1, "h1", tiles, layout.left_tower)
-    _attach_tower(builder, hex2, "h2", tiles, layout.right_tower)
+    _attach_tower(builder, (hex1[0], hex1[1]), "h1.", tiles, layout.left_tower)
+    _attach_tower(builder, (hex2[0], hex2[1]), "h2.", tiles, layout.right_tower)
     builder.edge(hex1[5], hex2[3], None, "arc")
     return builder.build()
 

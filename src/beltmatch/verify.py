@@ -17,19 +17,12 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from .errors import PoleError
 from .laurent import LaurentPolynomial
 from .matchenum import cluster_expansion, matching_polynomial
-from .mutation import (
-    BeltLattice,
-    belt,
-    check_supported,
-    exchange_matrix,
-    noninitial_variables,
-    variable_names,
-)
+from .mutation import belt, check_supported, exchange_matrix, noninitial_variables, variable_names
 from .tilegraphs import enumerate_family, strip_graph
 
 
@@ -158,24 +151,32 @@ class ExtendedLatticeConfig:
 
     def tile_strip(self, lo: int, hi: int):
         """The grid graph of tiles lo..hi (north y_{i+1}, south y_{i-1})."""
-        pairs = [(self.weight(i + 1), self.weight(i - 1)) for i in range(lo, hi + 1)]
-        notes = [f"T~{i}" for i in range(lo, hi + 1)]
-        return strip_graph(pairs, self.nvars, self.names, notes)
-
-    def tile_monomial(self, lo: int, hi: int) -> LaurentPolynomial:
-        out = LaurentPolynomial.one(self.nvars)
-        for i in range(lo, hi + 1):
-            out = out * self.weight(i)
-        return out
+        return _tile_strip(self, lo, hi)
 
     def laurent_of_strip(self, lo: int, hi: int) -> LaurentPolynomial:
         """P(strip)/tile monomial with the limit y_0 -> 0 taken exactly."""
-        if lo > hi:
-            return LaurentPolynomial.one(self.nvars)
-        quotient = matching_polynomial(self.tile_strip(lo, hi)).div_exact(
-            self.tile_monomial(lo, hi)
-        )
-        return quotient.substitute({0: LaurentPolynomial.zero(self.nvars)})
+        return _strip_limit(self, lo, hi, vanishing_slot=0)
+
+
+def _tile_strip(config, lo: int, hi: int):
+    """Tiles lo..hi of a config with ``weight``/``nvars``/``names``: tile i has
+    north weight(i+1) and south weight(i-1)."""
+    pairs = [(config.weight(i + 1), config.weight(i - 1)) for i in range(lo, hi + 1)]
+    notes = [f"T~{i}" for i in range(lo, hi + 1)]
+    return strip_graph(pairs, config.nvars, config.names, notes)
+
+
+def _strip_limit(config, lo: int, hi: int, vanishing_slot: int) -> LaurentPolynomial:
+    """P(tiles lo..hi) divided exactly by the tile monomial, then the
+    vanishing slot sent to 0; the empty strip is 1."""
+    one = LaurentPolynomial.one(config.nvars)
+    if lo > hi:
+        return one
+    monomial = one
+    for i in range(lo, hi + 1):
+        monomial = monomial * config.weight(i)
+    quotient = matching_polynomial(_tile_strip(config, lo, hi)).div_exact(monomial)
+    return quotient.substitute({vanishing_slot: LaurentPolynomial.zero(config.nvars)})
 
 
 # -- condensation -------------------------------------------------------------------
@@ -299,15 +300,7 @@ class BExtendedConfig:
 
     def tower_laurent(self, a: int, b: int) -> LaurentPolynomial:
         """Laurent polynomial of tower T_a..T_b with the boundary limit applied."""
-        if a > b:
-            return LaurentPolynomial.one(self.nvars)
-        pairs = [(self.weight(i + 1), self.weight(i - 1)) for i in range(a, b + 1)]
-        graph = strip_graph(pairs, self.nvars, self.names)
-        monomial = LaurentPolynomial.one(self.nvars)
-        for i in range(a, b + 1):
-            monomial = monomial * self.weight(i)
-        quotient = matching_polynomial(graph).div_exact(monomial)
-        return quotient.substitute({self.n: LaurentPolynomial.zero(self.nvars)})
+        return _strip_limit(self, a, b, vanishing_slot=self.n)
 
 
 def check_excision(scenario: tuple) -> CheckResult:
@@ -442,9 +435,8 @@ def check_belt_diamonds(family: str, rank: int) -> CheckResult:
     """
 
     def run() -> tuple[bool, dict]:
-        lattice: BeltLattice = belt(family, rank)
+        values = belt(family, rank).values
         rows = exchange_matrix(family, rank)
-        values = {(c.slot, c.superscript): c.value for c in lattice.cells}
         names = variable_names(family, rank)
         by_slot: dict[int, list[int]] = {}
         for slot, sup in values:
@@ -515,48 +507,37 @@ def applicable_foldings(family: str, rank: int) -> tuple[tuple[str, int], ...]:
 
 def plan_checks(
     family: str, rank: int, selection: Sequence[str]
-) -> list[Callable[[], CheckResult]]:
-    """The list of check thunks selected by name; 'all' selects everything applicable."""
+) -> list[tuple[Callable[..., CheckResult], tuple[Any, ...]]]:
+    """The selected checks as (check function, args) pairs; 'all' selects everything applicable."""
     wanted = set(selection)
     if "all" in wanted:
         wanted = set(CHECK_NAMES)
     unknown = wanted - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}")
-    plan: list[Callable[[], CheckResult]] = []
+    plan: list[tuple[Callable[..., CheckResult], tuple[Any, ...]]] = []
     if "theorem" in wanted:
-        plan.append(lambda: verify_theorem(family, rank))
+        plan.append((verify_theorem, (family, rank)))
     if "diamonds" in wanted:
-        plan.append(lambda: check_belt_diamonds(family, rank))
+        plan.append((check_belt_diamonds, (family, rank)))
     if "condensation" in wanted:
-        for i, j in CONDENSATION_GRID:
-            plan.append(lambda i=i, j=j: check_condensation(i, j))
+        plan += [(check_condensation, args) for args in CONDENSATION_GRID]
     if "centerone" in wanted:
-        for j, parity in CENTERONE_GRID:
-            plan.append(lambda j=j, parity=parity: check_center_one(j, parity))
+        plan += [(check_center_one, args) for args in CENTERONE_GRID]
     if "excision" in wanted:
-        for scenario in EXCISION_A_GRID + EXCISION_B_GRID:
-            plan.append(lambda scenario=scenario: check_excision(scenario))
+        plan += [(check_excision, (scenario,)) for scenario in EXCISION_A_GRID + EXCISION_B_GRID]
     if "folding" in wanted:
-        for direction, n in applicable_foldings(family, rank):
-            plan.append(lambda direction=direction, n=n: check_folding(direction, n))
+        plan += [(check_folding, args) for args in applicable_foldings(family, rank)]
     return plan
 
 
-def run_checks(
-    family: str, rank: int, selection: Sequence[str], jobs: int = 1
-) -> VerificationReport:
-    """Run the selected checks; results are merged by name, so the output is
-    identical whatever the parallelism degree."""
-    plan = plan_checks(family, rank, selection)
-    report = VerificationReport()
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+def run_checks(family: str, rank: int, selection: Sequence[str]) -> VerificationReport:
+    """Run the selected checks one at a time; results are merged by name.
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(lambda thunk: thunk(), plan):
-                report.add(result)
-    else:
-        for thunk in plan:
-            report.add(thunk())
+    The checks are CPU-bound exact arithmetic and share the cached belt and
+    family of (family, rank), so they run sequentially in this process.
+    """
+    report = VerificationReport()
+    for check, args in plan_checks(family, rank, selection):
+        report.add(check(*args))
     return report

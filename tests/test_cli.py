@@ -58,6 +58,8 @@ def test_usage_errors_exit_two(capsys):
 def test_expand_rejects_non_root(capsys):
     code = main(["expand", "--type", "A", "--rank", "2", "--root", "2,0"])
     assert code == 2
+    code = main(["expand", "--type", "A", "--rank", "2", "--root", "2,0", "--format", "dot"])
+    assert code == 2
 
 
 def test_repeated_runs_are_byte_identical(capsys):

@@ -11,11 +11,11 @@ from beltmatch.laurent import LaurentPolynomial as LP
 from beltmatch.mutation import (
     ExchangeMatrix,
     Seed,
+    _variables,
     belt,
     exchange_matrix,
     initial_seed,
     mutate_matrix,
-    mutate_seed,
     noninitial_variables,
     parity_groups,
     variable_names,
@@ -127,19 +127,19 @@ def test_initial_seed_unsupported_pairs():
 
 
 def test_mutate_seed_first_exchange():
-    seed = mutate_seed(initial_seed("A", 2), 0)
+    seed = initial_seed("A", 2).mutate(0)
     assert seed.cluster[0] == poly("x2 + 1", 2).div_exact(poly("x1", 2))
 
 
 def test_mutate_seed_b2_squared_binomial():
-    seed = mutate_seed(initial_seed("B", 2), 1)
+    seed = initial_seed("B", 2).mutate(1)
     assert seed.cluster[1] == poly("x1^2 + 1", 2).div_exact(poly("x2", 2))
 
 
 def test_mutate_seed_is_involutive():
     seed = initial_seed("C", 3)
-    assert mutate_seed(mutate_seed(seed, 1), 1).cluster == seed.cluster
-    assert mutate_seed(mutate_seed(seed, 1), 1).matrix.rows == seed.matrix.rows
+    assert seed.mutate(1).mutate(1).cluster == seed.cluster
+    assert seed.mutate(1).mutate(1).matrix.rows == seed.matrix.rows
 
 
 def test_sweep_order_within_a_group_does_not_matter():
@@ -264,3 +264,12 @@ def test_noninitial_variables_d4_highest_root():
     w = LP.parse("x1*x1b*x3", 4, names)
     v = LP.parse("x2 + 1", 4, names)
     assert numerator == w * w + w * LP.parse("3*x2 + 2", 4, names) + v * v * v
+
+
+def test_cached_results_cannot_be_corrupted_by_callers():
+    first = noninitial_variables("B", 3)
+    first.clear()
+    first[(9, 9, 9)] = LP.one(3)
+    assert noninitial_variables("B", 3) == _variables.__wrapped__("B", 3)
+    with pytest.raises(TypeError):
+        belt("B", 3).values[(0, 0)] = LP.one(3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -160,6 +161,13 @@ def test_graph_for_root_b3_shapes():
     double = graph_for_root("B", 3, (2, 2, 1)).layout
     assert isinstance(double, DoubleHexLayout)
     assert double.left_tower == () and double.right_tower == (3,)
+
+
+def test_graph_for_root_cached_lookup_is_not_aliased():
+    reference = {g.mu: g for g in enumerate_family.__wrapped__("B", 3)}
+    with pytest.raises(FrozenInstanceError):
+        graph_for_root("B", 3, (2, 2, 1)).mu = (0, 0, 1)
+    assert {root: graph_for_root("B", 3, root) for root in reference} == reference
 
 
 def test_graph_for_root_rejects_non_roots():
