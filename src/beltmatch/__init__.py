@@ -13,6 +13,7 @@ Everything is exact integer arithmetic; there are no floats anywhere.
 from .errors import (
     BijectionError,
     DimensionMismatchError,
+    ExponentOverflowError,
     InexactDivisionError,
     IterationLimitError,
     PoleError,
@@ -66,6 +67,7 @@ __all__ = [
     "CartanSpec",
     "DimensionMismatchError",
     "ExchangeMatrix",
+    "ExponentOverflowError",
     "InexactDivisionError",
     "IterationLimitError",
     "LaurentPolynomial",

@@ -27,3 +27,7 @@ class StructureError(RuntimeError):
 
 class IterationLimitError(RuntimeError):
     """A closure or belt computation exceeded its hard iteration cap."""
+
+
+class ExponentOverflowError(ArithmeticError):
+    """An exponent left the range that one packed monomial digit can hold."""

@@ -1,9 +1,23 @@
 """Exact sparse Laurent-polynomial arithmetic over the integers.
 
-A Laurent polynomial in ``nvars`` variables is a dictionary mapping exponent
-vectors (tuples of ``nvars`` signed ints) to nonzero integer coefficients.
-The zero polynomial is the empty dictionary.  Coefficients are Python ints,
-so there is no overflow and no floating point anywhere.
+A Laurent polynomial in ``nvars`` variables maps exponent vectors to nonzero
+integer coefficients; the zero polynomial has no terms.  Coefficients are
+Python ints, so they never overflow, and there is no floating point anywhere.
+
+Monomial keys.  Each exponent vector is stored as one Python int: exponent
+``e`` of variable ``i`` becomes the digit ``e + EXPONENT_BIAS``, ``DIGIT_BITS``
+bits wide, with the first variable in the most significant digit.  So
+
+* the product of two monomials is one int addition, ``ka + kb - zero``, where
+  ``zero`` is the key of the all-zero exponent vector;
+* the numeric order of keys is the lexicographic order of exponent vectors,
+  which is the canonical term order below.
+
+Exponents are kept in ``[MIN_EXPONENT, MAX_EXPONENT]``, half of what a digit
+holds, so the sum or difference of two exponents in range still fits in its
+digit and never carries into the next one.  An operation whose result would
+hold an exponent outside that range raises ``ExponentOverflowError``; a key
+never wraps.  Exponent vectors cross the public API as tuples of ints.
 
 Canonical text form: terms sorted by descending lexicographic order of their
 exponent vectors, e.g. ``x1*x3 + 2*x2 + 1``.  ``to_text`` and ``parse``
@@ -13,35 +27,117 @@ round-trip bit-exactly.
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cache
+from heapq import heapify, heappop, heappush
+from operator import add, index, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DimensionMismatchError, InexactDivisionError, PoleError
+from .errors import DimensionMismatchError, ExponentOverflowError, InexactDivisionError, PoleError
 
 ExponentVector = tuple[int, ...]
+
+DIGIT_BITS = 32
+EXPONENT_BIAS = 1 << (DIGIT_BITS - 1)
+MIN_EXPONENT = -(1 << (DIGIT_BITS - 2))
+MAX_EXPONENT = (1 << (DIGIT_BITS - 2)) - 1
+# struct code of a signed big-endian DIGIT_BITS-bit int, used by _unpacker.
+_DIGIT_CODE = "i"
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(nvars))
 
 
+# -- packed monomial keys ------------------------------------------------------
+
+
+@cache
+def _zero_key(nvars: int) -> int:
+    """Key of the all-zero exponent vector: every digit holds EXPONENT_BIAS.
+
+    It is also the mask of every digit's top bit."""
+    return sum(EXPONENT_BIAS << (DIGIT_BITS * i) for i in range(nvars))
+
+
+@cache
+def _unpacker(nvars: int) -> Callable[[int], ExponentVector]:
+    """Key -> exponent vector, for any key whose digits did not carry.
+
+    XOR with the zero key flips each digit's top bit, which turns the biased
+    digit ``e + EXPONENT_BIAS`` into ``e`` read as a signed digit."""
+    zero = _zero_key(nvars)
+    width = nvars * DIGIT_BITS // 8
+    unpack = struct.Struct(f">{nvars}{_DIGIT_CODE}").unpack
+
+    def exponents(key: int) -> ExponentVector:
+        return unpack((key ^ zero).to_bytes(width, "big"))
+
+    return exponents
+
+
+def _pack(exps: Sequence[int], nvars: int) -> int:
+    """Key of an exponent vector from outside the class, checked."""
+    if len(exps) != nvars:
+        raise DimensionMismatchError(
+            f"exponent vector {tuple(exps)} has length {len(exps)}, expected {nvars}"
+        )
+    key = 0
+    for e in exps:
+        e = index(e)
+        if not MIN_EXPONENT <= e <= MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"exponent {e} is outside [{MIN_EXPONENT}, {MAX_EXPONENT}]"
+            )
+        key = (key << DIGIT_BITS) | (e + EXPONENT_BIAS)
+    return key
+
+
+def _check_range(keys: Iterable[int], nvars: int) -> None:
+    """Raise ExponentOverflowError unless every digit of every key is in range.
+
+    The keys must not have carried between digits, which holds for a sum or
+    difference of two keys in range.  A digit is in range exactly when its
+    top two bits differ (01... or 10...)."""
+    low = _zero_key(nvars) >> 1
+    for key in keys:
+        if (key ^ (key >> 1)) & low != low:
+            raise ExponentOverflowError(
+                f"exponent vector {_unpacker(nvars)(key)} is outside "
+                f"[{MIN_EXPONENT}, {MAX_EXPONENT}]"
+            )
+
+
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("_terms", "nvars", "_hash")
+    __slots__ = ("_terms", "nvars", "_hash", "_mins")
 
     def __init__(self, terms: Mapping[ExponentVector, int], nvars: int):
-        clean: dict[ExponentVector, int] = {}
+        clean: dict[int, int] = {}
         for exps, coeff in terms.items():
-            if len(exps) != nvars:
-                raise DimensionMismatchError(
-                    f"exponent vector {exps} has length {len(exps)}, expected {nvars}"
-                )
+            key = _pack(exps, nvars)
             if coeff:
-                clean[tuple(exps)] = coeff
+                clean[key] = coeff
         self._terms = clean
         self.nvars = nvars
         self._hash: int | None = None
+        self._mins: ExponentVector | None = None
+
+    @classmethod
+    def _adopt(
+        cls, terms: dict[int, int], nvars: int, mins: ExponentVector | None = None
+    ) -> LaurentPolynomial:
+        """Wrap packed, in-range keys with nonzero coefficients; no checks.
+
+        ``mins``, when given, must be the exact componentwise minimum."""
+        poly = cls.__new__(cls)
+        poly._terms = terms
+        poly.nvars = nvars
+        poly._hash = None
+        poly._mins = mins
+        return poly
 
     # -- constructors ------------------------------------------------------
 
@@ -81,19 +177,27 @@ class LaurentPolynomial:
 
     def terms(self) -> list[tuple[ExponentVector, int]]:
         """Terms in canonical (descending lexicographic) order."""
-        return [(e, self._terms[e]) for e in sorted(self._terms, reverse=True)]
+        unpack = _unpacker(self.nvars)
+        return [(unpack(k), self._terms[k]) for k in sorted(self._terms, reverse=True)]
 
     def coefficient(self, exps: Sequence[int]) -> int:
-        return self._terms.get(tuple(exps), 0)
+        try:
+            key = _pack(exps, self.nvars)
+        except (DimensionMismatchError, ExponentOverflowError):
+            return 0
+        return self._terms.get(key, 0)
 
     def coefficients(self) -> list[int]:
         return [c for _, c in self.terms()]
 
     def min_exponents(self) -> ExponentVector:
         """Componentwise minimum exponent over all terms (zero polynomial -> all 0)."""
-        if not self._terms:
-            return (0,) * self.nvars
-        return tuple(min(e[i] for e in self._terms) for i in range(self.nvars))
+        if self._mins is None:
+            if self._terms:
+                self._mins = tuple(map(min, zip(*map(_unpacker(self.nvars), self._terms))))
+            else:
+                self._mins = (0,) * self.nvars
+        return self._mins
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -124,105 +228,165 @@ class LaurentPolynomial:
 
     def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         self._check_same_ring(other)
-        out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            new = out.get(exps, 0) + coeff
+        big, small = self._terms, other._terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        get = out.get
+        for key, coeff in small.items():
+            new = get(key, 0) + coeff
             if new:
-                out[exps] = new
+                out[key] = new
             else:
-                out.pop(exps, None)
-        return LaurentPolynomial(out, self.nvars)
+                del out[key]
+        return LaurentPolynomial._adopt(out, self.nvars)
 
     def __neg__(self) -> LaurentPolynomial:
-        return LaurentPolynomial({e: -c for e, c in self._terms.items()}, self.nvars)
+        return LaurentPolynomial._adopt(
+            {k: -c for k, c in self._terms.items()}, self.nvars, self._mins
+        )
 
     def __sub__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         self._check_same_ring(other)
-        out: dict[ExponentVector, int] = {}
-        for ea, ca in self._terms.items():
-            for eb, cb in other._terms.items():
-                key = tuple(x + y for x, y in zip(ea, eb))
-                new = out.get(key, 0) + ca * cb
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
-        return LaurentPolynomial(out, self.nvars)
+        nvars = self.nvars
+        small, big = self._terms, other._terms
+        if len(small) > len(big):
+            small, big = big, small
+        if not small:
+            return LaurentPolynomial._adopt({}, nvars)
+        zero = _zero_key(nvars)
+        if len(small) == 1:
+            (ka, ca), = small.items()
+            shift = ka - zero
+            out = {kb + shift: ca * cb for kb, cb in big.items()}
+        else:
+            acc: dict[int, int] = {}
+            get = acc.get
+            for ka, ca in small.items():
+                shift = ka - zero
+                for kb, cb in big.items():
+                    key = kb + shift
+                    acc[key] = get(key, 0) + ca * cb
+            out = {k: c for k, c in acc.items() if c}
+        _check_range(out, nvars)
+        # Z[x^±1] is a domain, so the lowest x_i-face of a product is the
+        # product of the lowest faces: minimum exponents add exactly.
+        mins = None
+        if self._mins is not None and other._mins is not None:
+            mins = tuple(map(add, self._mins, other._mins))
+        return LaurentPolynomial._adopt(out, nvars, mins)
 
     def __pow__(self, power: int) -> LaurentPolynomial:
         if power < 0:
             return self.monomial_inverse() ** (-power)
-        result = LaurentPolynomial.one(self.nvars)
+        if power == 0:
+            return LaurentPolynomial.one(self.nvars)
+        # Right-to-left binary powering: the result starts as the power of the
+        # lowest set bit, and the base is squared only while bits remain, so
+        # power 1 costs no product and power 3 costs two.
         base = self
-        k = power
-        while k:
-            if k & 1:
-                result = result * base
+        result = None
+        while True:
+            if power & 1:
+                result = base if result is None else result * base
+            power >>= 1
+            if not power:
+                return result
             base = base * base
-            k >>= 1
-        return result
 
     def monomial_inverse(self) -> LaurentPolynomial:
         """Inverse of a one-term polynomial with unit coefficient."""
         if len(self._terms) != 1:
             raise InexactDivisionError("only monomials are invertible")
-        (exps, coeff), = self._terms.items()
+        (key, coeff), = self._terms.items()
         if coeff not in (1, -1):
             raise InexactDivisionError(f"monomial coefficient {coeff} is not a unit")
-        return LaurentPolynomial({tuple(-e for e in exps): coeff}, self.nvars)
+        inverse = 2 * _zero_key(self.nvars) - key
+        _check_range((inverse,), self.nvars)
+        return LaurentPolynomial._adopt({inverse: coeff}, self.nvars)
 
     def div_exact(self, divisor: LaurentPolynomial) -> LaurentPolynomial:
-        """Exact quotient self / divisor; raises InexactDivisionError otherwise."""
+        """Exact quotient self / divisor; raises InexactDivisionError otherwise.
+
+        A quotient term outside the exponent range raises ExponentOverflowError
+        as soon as it is reached, before exactness is settled."""
         self._check_same_ring(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPolynomial.zero(self.nvars)
         if len(divisor._terms) == 1:
-            (qe, qc), = divisor._terms.items()
-            out: dict[ExponentVector, int] = {}
-            for e, c in self._terms.items():
-                if c % qc:
-                    raise InexactDivisionError(f"coefficient {c} not divisible by {qc}")
-                out[tuple(a - b for a, b in zip(e, qe))] = c // qc
-            return LaurentPolynomial(out, self.nvars)
+            (kq, cq), = divisor._terms.items()
+            shift = kq - _zero_key(self.nvars)
+            out: dict[int, int] = {}
+            for key, coeff in self._terms.items():
+                if coeff % cq:
+                    raise InexactDivisionError(f"coefficient {coeff} not divisible by {cq}")
+                out[key - shift] = coeff // cq
+            _check_range(out, self.nvars)
+            mins = None
+            if self._mins is not None:
+                mins = tuple(map(sub, self._mins, divisor.min_exponents()))
+            return LaurentPolynomial._adopt(out, self.nvars, mins)
         return self._div_exact_general(divisor)
 
     def _div_exact_general(self, divisor: LaurentPolynomial) -> LaurentPolynomial:
-        # Shift both operands to ordinary polynomials (minimum exponent 0 per
-        # variable), then divide by the lexicographic leading term of the
-        # divisor.  For an exact division the leading term of the remainder is
-        # divisible at every step; anything else is reported as inexact.
-        sp = self.min_exponents()
-        sq = divisor.min_exponents()
-        rem = {tuple(a - b for a, b in zip(e, sp)): c for e, c in self._terms.items()}
-        quo_shift = tuple(a - b for a, b in zip(sp, sq))
-        div = {tuple(a - b for a, b in zip(e, sq)): c for e, c in divisor._terms.items()}
-        lead_q = max(div)
-        coeff_q = div[lead_q]
-        quotient: dict[ExponentVector, int] = {}
+        # Divide by the lexicographic leading term of the divisor, taking the
+        # remainder's leading term from a max-heap of keys (Monagan & Pearce,
+        # J. Symb. Comp. 2011).  Heap entries whose key left the remainder
+        # are skipped when popped.  Guards that prove exactness and an end:
+        #  * every quotient term t satisfies t >= min(self) - min(divisor)
+        #    componentwise: shifting both operands to ordinary polynomials,
+        #    the leading-term quotient must have nonnegative exponents;
+        #  * an exact division keeps every remainder term inside the
+        #    exponent box of self, so a remainder key out of range is inexact.
+        # Remainder keys then stay >= min(self) and in range, a finite set
+        # that the strictly falling leading key walks down.
+        nvars = self.nvars
+        zero = _zero_key(nvars)
+        low = zero >> 1
+        mins_a, mins_b = self.min_exponents(), divisor.min_exponents()
+        # Digit i of t - floor is (lead_r - mins_a)_i - (lead_b - mins_b)_i
+        # plus the bias; both brackets lie in [0, 2^(DIGIT_BITS-1)), so nothing
+        # carries, and every top bit is set iff t >= mins_a - mins_b.
+        floor = _pack(mins_a, nvars) - _pack(mins_b, nvars)
+        divisor_terms = divisor._terms
+        lead_b = max(divisor_terms)
+        coeff_b = divisor_terms[lead_b]
+        tail = [(kb - lead_b, cb) for kb, cb in divisor_terms.items() if kb != lead_b]
+        rem = dict(self._terms)
+        heap = [-k for k in rem]
+        heapify(heap)
+        quotient: dict[int, int] = {}
         while rem:
-            lead_r = max(rem)
-            diff = tuple(a - b for a, b in zip(lead_r, lead_q))
-            coeff_r = rem[lead_r]
-            if any(d < 0 for d in diff) or coeff_r % coeff_q:
+            lead_r = -heappop(heap)
+            coeff_r = rem.pop(lead_r, 0)
+            if not coeff_r:
+                continue
+            if (lead_r ^ (lead_r >> 1)) & low != low:
                 raise InexactDivisionError("division left a nonzero remainder")
-            c = coeff_r // coeff_q
-            quotient[diff] = c
-            for e, qc in div.items():
-                key = tuple(d + x for d, x in zip(diff, e))
-                new = rem.get(key, 0) - c * qc
-                if new:
-                    rem[key] = new
+            t = lead_r - lead_b + zero
+            if (t - floor) & zero != zero or coeff_r % coeff_b:
+                raise InexactDivisionError("division left a nonzero remainder")
+            _check_range((t,), nvars)
+            c = coeff_r // coeff_b
+            quotient[t] = c
+            for offset, cb in tail:
+                key = lead_r + offset
+                old = rem.get(key)
+                if old is None:
+                    rem[key] = -c * cb
+                    heappush(heap, -key)
                 else:
-                    rem.pop(key, None)
-        return LaurentPolynomial(
-            {tuple(e + s for e, s in zip(exps, quo_shift)): c for exps, c in quotient.items()},
-            self.nvars,
-        )
+                    new = old - c * cb
+                    if new:
+                        rem[key] = new
+                    else:
+                        del rem[key]
+        return LaurentPolynomial._adopt(quotient, nvars, tuple(map(sub, mins_a, mins_b)))
 
     # -- substitution --------------------------------------------------------
 
@@ -251,10 +415,11 @@ class LaurentPolynomial:
                 )
             target = nvars
 
+        unpack = _unpacker(self.nvars)
         result = LaurentPolynomial.zero(target)
-        for exps, coeff in self._terms.items():
+        for key, coeff in self._terms.items():
             acc = LaurentPolynomial.constant(coeff, target)
-            for slot, power in enumerate(exps):
+            for slot, power in enumerate(unpack(key)):
                 if power == 0:
                     continue
                 value = assignment.get(slot)
@@ -288,11 +453,12 @@ class LaurentPolynomial:
         """
         if self.is_zero:
             raise ValueError("cannot split the zero polynomial")
+        nvars = self.nvars
         mins = self.min_exponents()
-        numerator = LaurentPolynomial(
-            {tuple(e - m for e, m in zip(exps, mins)): c for exps, c in self._terms.items()},
-            self.nvars,
-        )
+        shift = _pack(mins, nvars) - _zero_key(nvars)
+        out = {k - shift: c for k, c in self._terms.items()}
+        _check_range(out, nvars)
+        numerator = LaurentPolynomial._adopt(out, nvars, (0,) * nvars)
         return MonomialFactorization(numerator, tuple(-m for m in mins))
 
     # -- text form -------------------------------------------------------------
@@ -302,8 +468,7 @@ class LaurentPolynomial:
             return "0"
         names = tuple(names) if names is not None else default_names(self.nvars)
         rendered: list[tuple[str, str]] = []
-        for exps in sorted(self._terms, reverse=True):
-            coeff = self._terms[exps]
+        for exps, coeff in self.terms():
             factors = [
                 name if e == 1 else f"{name}^{e}"
                 for name, e in zip(names, exps)

@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beltmatch.errors import DimensionMismatchError, InexactDivisionError, PoleError
+from beltmatch.errors import (
+    DimensionMismatchError,
+    ExponentOverflowError,
+    InexactDivisionError,
+    PoleError,
+)
+from beltmatch.laurent import MAX_EXPONENT, MIN_EXPONENT
 from beltmatch.laurent import LaurentPolynomial as LP
 
 
@@ -228,3 +235,250 @@ def test_substitute_is_a_ring_homomorphism(p, q):
 @given(polys())
 def test_text_roundtrip(p):
     assert LP.parse(p.to_text(), 3) == p
+
+
+@given(polys())
+def test_min_exponents_memo_matches_a_fresh_scan(p):
+    # Products, quotients and split numerators carry their minimum exponents
+    # over from the operands instead of scanning; both must agree.
+    q = LP.parse("x1^-1*x2 + x3^2", 3)
+    p.min_exponents()
+    q.min_exponents()
+    for poly in (p, p * q, (p * q).div_exact(q), p * LP.monomial(-1, (2, -3, 1))):
+        if poly.is_zero:
+            continue
+        scanned = tuple(map(min, zip(*(e for e, _ in poly.terms()))))
+        assert poly.min_exponents() == scanned
+        assert poly.split().numerator.min_exponents() == (0, 0, 0)
+
+
+# -- powers -------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("power, products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (6, 3)])
+def test_pow_makes_no_wasted_products(monkeypatch, power, products):
+    calls = []
+    mul = LP.__mul__
+
+    def counting_mul(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    p = parse2("x1*x2^-1 + x2 + 1")
+    expected = LP.one(2)
+    for _ in range(power):
+        expected = expected * p
+    monkeypatch.setattr(LP, "__mul__", counting_mul)
+    assert p**power == expected
+    assert len(calls) == products
+
+
+# -- differential tests against sympy --------------------------------------------------
+
+
+SYMBOLS = sympy.symbols("x1:5")
+
+
+@st.composite
+def ring_terms(draw, count: int = 1) -> tuple[int, list[dict[tuple[int, ...], int]]]:
+    """A ring of 1 to 4 variables and ``count`` term maps in it."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*(st.integers(min_value=-3, max_value=3),) * nvars)
+    return nvars, [draw(st.dictionaries(exps, coeffs, max_size=5)) for _ in range(count)]
+
+
+def ring_polys(count: int = 1) -> st.SearchStrategy[tuple[LP, ...]]:
+    return ring_terms(count).map(lambda ring: tuple(LP(t, ring[0]) for t in ring[1]))
+
+
+def to_sympy(p: LP) -> sympy.Expr:
+    gens = SYMBOLS[: p.nvars]
+    return sympy.Add(*(c * sympy.Mul(*(g**e for g, e in zip(gens, exps))) for exps, c in p.terms()))
+
+
+def same(p: LP, expr: sympy.Expr) -> bool:
+    return sympy.expand(to_sympy(p) - expr) == 0
+
+
+def sympy_quotient(a: LP, b: LP) -> sympy.Expr | None:
+    """a / b in Z[x^-1, x] computed by sympy, or None if it leaves a remainder.
+
+    Both sides are shifted to ordinary polynomials with no monomial factor,
+    divided in Z[x] (sympy's ring division, no passage to Q), and shifted back."""
+    gens = SYMBOLS[: a.nvars]
+
+    def shifted(p: LP) -> tuple[sympy.Poly, tuple[int, ...]]:
+        mins = tuple(map(min, zip(*(e for e, _ in p.terms()))))
+        terms = {tuple(x - m for x, m in zip(e, mins)): c for e, c in p.terms()}
+        return sympy.Poly.from_dict(terms, *gens, domain=sympy.ZZ), mins
+
+    pa, ma = shifted(a)
+    pb, mb = shifted(b)
+    q, r = pa.div(pb, auto=False)
+    if not r.is_zero:
+        return None
+    assert q * pb == pa
+    return q.as_expr() * sympy.Mul(*(g ** (x - y) for g, x, y in zip(gens, ma, mb)))
+
+
+@given(ring_polys(2))
+@settings(max_examples=80, deadline=None)
+def test_ring_operations_match_sympy(pq):
+    p, q = pq
+    assert same(p + q, to_sympy(p) + to_sympy(q))
+    assert same(p - q, to_sympy(p) - to_sympy(q))
+    assert same(p * q, to_sympy(p) * to_sympy(q))
+
+
+@given(ring_polys(3), st.booleans())
+@example((parse2("1"), parse2("2*x2 + 1"), parse2("x2")), True)
+@example((parse2("x1 + 3"), parse2("2*x2 + 1"), LP.zero(2)), False)
+@example((parse2("x1 + 3"), parse2("2*x2 + x1^-1"), parse2("x1^-1*x2")), True)
+@settings(max_examples=80, deadline=None)
+def test_div_exact_matches_sympy(pqr, perturb):
+    p, q, r = pqr
+    if q.is_zero:
+        return
+    # Half the dividends are multiples of q; the rest are usually not.
+    a = p * q + r if perturb else p * q
+    if a.is_zero:
+        assert a.div_exact(q).is_zero
+        return
+    expected = sympy_quotient(a, q)
+    if expected is None:
+        with pytest.raises(InexactDivisionError):
+            a.div_exact(q)
+    else:
+        quotient = a.div_exact(q)
+        assert same(quotient, expected)
+        assert quotient * q == a
+
+
+@st.composite
+def substitutions(draw) -> tuple[LP, dict[int, LP]]:
+    (p,) = draw(ring_polys())
+    nvars = p.nvars
+    exps = st.tuples(*(st.integers(min_value=-2, max_value=2),) * nvars)
+    assignment = {}
+    for slot in draw(st.sets(st.integers(min_value=0, max_value=nvars - 1))):
+        if draw(st.booleans()):
+            # A unit monomial, which every power (negative too) accepts.
+            assignment[slot] = LP.monomial(draw(st.sampled_from((1, -1))), draw(exps))
+        else:
+            assignment[slot] = LP(draw(st.dictionaries(exps, coeffs, max_size=3)), nvars)
+    return p, assignment
+
+
+@given(substitutions())
+@settings(max_examples=80, deadline=None)
+def test_substitute_matches_sympy(case):
+    p, assignment = case
+    gens = SYMBOLS[: p.nvars]
+    # A negative power needs a unit monomial: anything else is a pole
+    # (PoleError) or leaves Z (InexactDivisionError, e.g. 2^-1).
+    blocked = {
+        slot
+        for exps, _ in p.terms()
+        for slot, e in enumerate(exps)
+        if e < 0 and slot in assignment and assignment[slot].coefficients() not in ([1], [-1])
+    }
+    if blocked:
+        with pytest.raises((PoleError, InexactDivisionError)):
+            p.substitute(assignment)
+        return
+    image = to_sympy(p).subs({gens[s]: to_sympy(v) for s, v in assignment.items()}, simultaneous=True)
+    assert same(p.substitute(assignment), image)
+
+
+@given(ring_terms())
+@settings(max_examples=80, deadline=None)
+def test_text_and_term_order_match_sympy(ring):
+    nvars, (terms,) = ring
+    p = LP(terms, nvars)
+    nonzero = {e: c for e, c in terms.items() if c}
+    assert p.terms() == [(e, nonzero[e]) for e in sorted(nonzero, reverse=True)]
+    text = p.to_text()
+    assert LP.parse(text, nvars) == p
+    parsed = sympy.sympify(text.replace("^", "**"), locals={str(g): g for g in SYMBOLS})
+    assert same(p, parsed)
+
+
+# -- exponent range -----------------------------------------------------------------------
+
+
+def x1(e: int) -> LP:
+    return LP.monomial(1, (e, 0))
+
+
+def test_construction_range_boundaries():
+    assert x1(MAX_EXPONENT).terms() == [((MAX_EXPONENT, 0), 1)]
+    assert x1(MIN_EXPONENT).terms() == [((MIN_EXPONENT, 0), 1)]
+    assert LP.parse(f"x1^{MAX_EXPONENT}*x2^{MIN_EXPONENT}", 2).coefficient(
+        (MAX_EXPONENT, MIN_EXPONENT)
+    ) == 1
+    with pytest.raises(ExponentOverflowError):
+        x1(MAX_EXPONENT + 1)
+    with pytest.raises(ExponentOverflowError):
+        x1(MIN_EXPONENT - 1)
+    with pytest.raises(ExponentOverflowError):
+        LP.parse(f"x2^{MAX_EXPONENT + 1} + 1", 2)
+    assert x1(0).coefficient((MAX_EXPONENT + 1, 0)) == 0
+
+
+def test_mul_range_boundaries():
+    binomial = parse2("x1 + x2")
+    assert x1(MAX_EXPONENT - 1) * parse2("x1") == x1(MAX_EXPONENT)
+    assert x1(MIN_EXPONENT + 1) * LP.parse("x1^-1", 2) == x1(MIN_EXPONENT)
+    assert len(x1(MAX_EXPONENT - 1) * binomial) == 2
+    with pytest.raises(ExponentOverflowError):
+        x1(MAX_EXPONENT) * parse2("x1")
+    with pytest.raises(ExponentOverflowError):
+        x1(MIN_EXPONENT) * LP.parse("x1^-1", 2)
+    with pytest.raises(ExponentOverflowError):
+        x1(MAX_EXPONENT) * binomial
+    # The overflowing digit is the last one: it must not carry into x1.
+    with pytest.raises(ExponentOverflowError):
+        LP.monomial(1, (0, MAX_EXPONENT)) * parse2("x2 + 1")
+
+
+def test_pow_range_boundaries():
+    step = MAX_EXPONENT // 3
+    assert x1(step) ** 3 == x1(3 * step)
+    assert x1(-step) ** -3 == x1(3 * step)
+    with pytest.raises(ExponentOverflowError):
+        x1(step + 1) ** 3
+    with pytest.raises(ExponentOverflowError):
+        (x1(step + 1) + LP.one(2)) ** 3
+    with pytest.raises(ExponentOverflowError):
+        x1(-step - 1) ** -3
+
+
+def test_monomial_inverse_range_boundaries():
+    assert x1(MIN_EXPONENT + 1).monomial_inverse() == x1(MAX_EXPONENT)
+    assert x1(MAX_EXPONENT).monomial_inverse() == x1(MIN_EXPONENT + 1)
+    with pytest.raises(ExponentOverflowError):
+        x1(MIN_EXPONENT).monomial_inverse()
+
+
+def test_div_exact_range_boundaries():
+    inverse_x1 = LP.parse("x1^-1", 2)
+    assert x1(MAX_EXPONENT - 1).div_exact(inverse_x1) == x1(MAX_EXPONENT)
+    with pytest.raises(ExponentOverflowError):
+        x1(MAX_EXPONENT).div_exact(inverse_x1)
+    # General divisor: x1^e * (1 + x2) / (x1^-1 * (1 + x2)) = x1^(e + 1).
+    divisor = LP.parse("x1^-1*x2 + x1^-1", 2)
+    assert (x1(MAX_EXPONENT - 1) * parse2("x2 + 1")).div_exact(divisor) == x1(MAX_EXPONENT)
+    with pytest.raises(ExponentOverflowError):
+        (x1(MAX_EXPONENT) * parse2("x2 + 1")).div_exact(divisor)
+    # An inexact division whose remainder climbs past the range is inexact:
+    # the first step leaves -x1*x2^(MAX+1) + 1.
+    dividend = LP.monomial(1, (2, MAX_EXPONENT - 1)) + LP.one(2)
+    with pytest.raises(InexactDivisionError):
+        dividend.div_exact(parse2("x1 + x2^2"))
+
+
+def test_split_range_boundaries():
+    inside = x1(MAX_EXPONENT) + LP.one(2)
+    assert inside.split().numerator == inside
+    with pytest.raises(ExponentOverflowError):
+        (x1(MAX_EXPONENT) + LP.parse("x1^-1", 2)).split()
