@@ -42,8 +42,8 @@ DIGIT_BITS = 32
 EXPONENT_BIAS = 1 << (DIGIT_BITS - 1)
 MIN_EXPONENT = -(1 << (DIGIT_BITS - 2))
 MAX_EXPONENT = (1 << (DIGIT_BITS - 2)) - 1
-# struct code of a signed big-endian DIGIT_BITS-bit int, used by _unpacker.
-_DIGIT_CODE = "i"
+# struct code of a signed DIGIT_BITS-bit int, used by _unpacker.
+_DIGIT_CODE = {16: "h", 32: "i", 64: "q"}[DIGIT_BITS]
 
 
 def default_names(nvars: int) -> tuple[str, ...]:
