@@ -318,22 +318,6 @@ class LaurentPolynomial:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return LaurentPolynomial.zero(self.nvars)
-        if len(divisor._terms) == 1:
-            (kq, cq), = divisor._terms.items()
-            shift = kq - _zero_key(self.nvars)
-            out: dict[int, int] = {}
-            for key, coeff in self._terms.items():
-                if coeff % cq:
-                    raise InexactDivisionError(f"coefficient {coeff} not divisible by {cq}")
-                out[key - shift] = coeff // cq
-            _check_range(out, self.nvars)
-            mins = None
-            if self._mins is not None:
-                mins = tuple(map(sub, self._mins, divisor.min_exponents()))
-            return LaurentPolynomial._adopt(out, self.nvars, mins)
-        return self._div_exact_general(divisor)
-
-    def _div_exact_general(self, divisor: LaurentPolynomial) -> LaurentPolynomial:
         # Divide by the lexicographic leading term of the divisor, taking the
         # remainder's leading term from a max-heap of keys (Monagan & Pearce,
         # J. Symb. Comp. 2011).  Heap entries whose key left the remainder
@@ -390,16 +374,14 @@ class LaurentPolynomial:
 
     # -- substitution --------------------------------------------------------
 
-    def substitute(
-        self,
-        assignment: Mapping[int, LaurentPolynomial],
-        nvars: int | None = None,
-    ) -> LaurentPolynomial:
+    def substitute(self, assignment: Mapping[int, LaurentPolynomial]) -> LaurentPolynomial:
         """Simultaneous substitution of polynomials for variable slots.
 
-        Unassigned slots map to the same slot of the target ring.  Negative
-        powers of an assigned value require that value to be an invertible
-        monomial; substituting zero into a negative power raises PoleError.
+        The target ring is the assigned values' ring (self's ring when nothing
+        is assigned); unassigned slots map to the same slot of it.  A negative
+        power of an assigned value raises PoleError unless the value is a
+        nonzero monomial, and InexactDivisionError unless its coefficient is a
+        unit.
         """
         if assignment:
             sizes = {v.nvars for v in assignment.values()}
@@ -408,12 +390,6 @@ class LaurentPolynomial:
             target = sizes.pop()
         else:
             target = self.nvars
-        if nvars is not None:
-            if assignment and nvars != target:
-                raise DimensionMismatchError(
-                    f"assigned values have {target} variables, expected {nvars}"
-                )
-            target = nvars
 
         unpack = _unpacker(self.nvars)
         result = LaurentPolynomial.zero(target)
@@ -428,18 +404,13 @@ class LaurentPolynomial:
                         raise DimensionMismatchError(
                             f"unassigned slot {slot} does not exist in a {target}-variable ring"
                         )
-                    acc = acc * LaurentPolynomial.variable(slot, target) ** power
-                elif power > 0:
-                    acc = acc * value**power
-                else:
-                    if value.is_zero:
-                        raise PoleError(f"zero substituted into negative power of slot {slot}")
-                    if not value.is_monomial:
-                        raise PoleError(
-                            f"negative power of slot {slot} needs a monomial value; "
-                            "clear denominators first"
-                        )
-                    acc = acc * value.monomial_inverse() ** (-power)
+                    value = LaurentPolynomial.variable(slot, target)
+                elif power < 0 and not value.is_monomial:
+                    raise PoleError(
+                        f"negative power of slot {slot} needs a nonzero monomial value; "
+                        "clear denominators first"
+                    )
+                acc = acc * value**power
             result = result + acc
         return result
 

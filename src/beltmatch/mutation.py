@@ -283,10 +283,11 @@ class BeltLattice:
 def _noninitial_denominator(value: LaurentPolynomial) -> RootVector | None:
     """The denominator vector of a non-initial variable; None for an initial one.
 
-    Initial variables (and their reappearance at the end of the period) split
-    with a -1 entry; non-initial ones with a nonzero nonnegative vector.
+    The denominator vector is the negated minimum exponent vector.  Initial
+    variables (and their reappearance at the end of the period) have a -1
+    entry; non-initial ones a nonzero nonnegative vector.
     """
-    denominator = value.split().denominator
+    denominator = tuple(-m for m in value.min_exponents())
     if all(d >= 0 for d in denominator) and any(denominator):
         return denominator
     return None

@@ -1,12 +1,15 @@
 """Tiles, gluing layouts, per-family graph catalogues, and graph realization.
 
 Tile graphs are stored structurally (which tiles, glued how); ``realize`` is
-the single place where that structure becomes a concrete vertex/edge graph.
-The vertex-level drawing of the doubled-trapezoid graphs (including the
-extra arc joining the two tower tops) is pinned behaviourally: the matching
-polynomial of every realized family graph must reproduce the belt oracle,
-and the shapes below were calibrated against it for B_3..B_5, D_4..D_6 and
-G_2 before being frozen.
+the single place where that structure becomes a concrete vertex/edge graph,
+whose edges carry only their weights.  Strips go through ``strip_graph``, and
+every hexagon -- the one of a single-hexagon graph and each of the two of a
+two-hexagon graph -- through one helper that adds its trapezoids and tower.
+The vertex-level drawing of the two-hexagon graphs (the bridging trapezoid
+and the extra arc ``_ARC``) is pinned behaviourally: the matching polynomial
+of every realized family graph must reproduce the belt oracle, and the
+shapes below were calibrated against it for B_3..B_5, D_4..D_6 and G_2
+before being frozen.
 
 Families and their graphs:
 
@@ -36,6 +39,10 @@ from .mutation import check_supported, roots, variable_names
 from .rootsys import RootVector
 
 Weight = Union[int, None]  # ambient variable slot, None for a unit edge
+
+# The unit edge of every two-hexagon graph that joins the west hexagon's
+# vertex 6 to the east hexagon's vertex 4 around the outside.
+_ARC = ("h1.6", "h2.4")
 
 
 @dataclass(frozen=True)
@@ -162,13 +169,14 @@ class HexBaseLayout:
 class DoubleHexLayout:
     """Two hexagons joined by a bridging trapezoid, with a tower on each.
 
-    The bridge spans the west hexagon's P3 edge and the east hexagon's P5
-    edge.  ``left_tower``/``right_tower`` sit on the west/east hexagon; for
-    G_2 the east hexagon carries a trapezoid at P1 instead of a tower.
+    The bridge is always the trapezoid T_1; it spans the west hexagon's P3
+    edge and the east hexagon's P5 edge, and the unit arc ``_ARC`` joins the
+    two hexagons around the outside.  ``left_tower``/``right_tower`` sit on
+    the west/east hexagon; for G_2 the east hexagon carries a trapezoid at P1
+    instead of a tower.
     """
 
     west_traps: tuple[tuple[str, int], ...]
-    bridge_index: int
     left_tower: tuple[int, ...]
     right_tower: tuple[int, ...]
     east_traps: tuple[tuple[str, int], ...] = ()
@@ -199,7 +207,7 @@ class TileGraph:
             [i for _, i in layout.west_traps]
             + [2]
             + list(layout.left_tower)
-            + [layout.bridge_index]
+            + [1]  # the bridge
             + [2]
             + list(layout.right_tower)
             + [i for _, i in layout.east_traps]
@@ -243,11 +251,7 @@ def enumerate_family(family: str, rank: int) -> tuple[TileGraph, ...]:
             traps = tuple((spot, 1) for spot in spots[:k])
             graphs.append(_make_graph(family, rank, HexBaseLayout(traps, ())))
         graphs.append(
-            _make_graph(
-                family,
-                rank,
-                DoubleHexLayout((("P5", 1),), 1, (), (), (("P1", 1),)),
-            )
+            _make_graph(family, rank, DoubleHexLayout((("P5", 1),), (), (), (("P1", 1),)))
         )
     else:
         top = rank if family == "B" else rank - 1
@@ -296,13 +300,8 @@ def _double_hex_graph(family: str, rank: int, p: int, b: int) -> TileGraph:
     t_left, t_right = (p, b) if lifts[p] > lifts[b] else (b, p)
     left_tower = tuple(range(3, t_left + 1))
     right_tower = tuple(range(3, t_right + 1))
-    if family == "B":
-        west: tuple[tuple[str, int], ...] = (("P5", 1),)
-        bridge = 1
-    else:
-        west = (("P5", -1),)
-        bridge = 1
-    return _make_graph(family, rank, DoubleHexLayout(west, bridge, left_tower, right_tower))
+    west = (("P5", 1 if family == "B" else -1),)
+    return _make_graph(family, rank, DoubleHexLayout(west, left_tower, right_tower))
 
 
 @cache
@@ -328,7 +327,6 @@ class MatchingEdge:
     u: str
     v: str
     weight: LaurentPolynomial
-    tile: str  # provenance note mapping the edge back to a tile edge
 
     def key(self) -> tuple[str, str]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
@@ -355,7 +353,7 @@ class _GraphBuilder:
             self.vertices.append(name)
         return name
 
-    def edge(self, u: str, v: str, weight: LaurentPolynomial | Weight, tile: str) -> None:
+    def edge(self, u: str, v: str, weight: LaurentPolynomial | Weight) -> None:
         if isinstance(weight, LaurentPolynomial):
             poly = weight
         elif weight is None:
@@ -368,39 +366,48 @@ class _GraphBuilder:
         self._seen.add(key)
         self.vertex(u)
         self.vertex(v)
-        self.edges.append(MatchingEdge(u, v, poly, tile))
+        self.edges.append(MatchingEdge(u, v, poly))
 
     def build(self) -> MatchingGraph:
         return MatchingGraph(self.nvars, self.names, tuple(self.vertices), tuple(self.edges))
 
 
 def strip_graph(
-    pairs: Sequence[tuple[LaurentPolynomial, LaurentPolynomial]],
+    pairs: Sequence[tuple[LaurentPolynomial | Weight, LaurentPolynomial | Weight]],
     nvars: int,
     names: Sequence[str],
-    notes: Sequence[str] | None = None,
 ) -> MatchingGraph:
     """A 2 x (k+1) grid: tile m contributes north/south weights pairs[m].
 
-    Shared vertical edges have unit weight.  Also used for the signed
-    extended-lattice strips, whose weights carry explicit signs.
+    A weight is a variable slot, None for a unit edge, or a polynomial (the
+    signed extended-lattice strips carry explicit signs).  Shared vertical
+    edges have unit weight.
     """
     builder = _GraphBuilder(nvars, names)
-    k = len(pairs)
-    notes = tuple(notes) if notes is not None else tuple(f"tile{m + 1}" for m in range(k))
-    for m in range(k + 1):
-        builder.edge(f"u{m}", f"v{m}", None, "vertical" if 0 < m < k else notes[min(m, k - 1)])
+    for m in range(len(pairs) + 1):
+        builder.edge(f"u{m}", f"v{m}", None)
     for m, (north, south) in enumerate(pairs):
-        builder.edge(f"u{m}", f"u{m + 1}", north, f"{notes[m]}.N")
-        builder.edge(f"v{m}", f"v{m + 1}", south, f"{notes[m]}.S")
+        builder.edge(f"u{m}", f"u{m + 1}", north)
+        builder.edge(f"v{m}", f"v{m + 1}", south)
     return builder.build()
 
 
-def _hex_cycle(builder: _GraphBuilder, prefix: str, tile: Tile) -> list[str]:
+def _hexagon(
+    builder: _GraphBuilder,
+    prefix: str,
+    tiles: dict[int, Tile],
+    traps: Sequence[tuple[str, int]],
+    tower: Sequence[int],
+) -> list[str]:
+    """The hexagon T_2 as the cycle ``{prefix}.1``..``{prefix}.6``, with a
+    trapezoid at each (position, index) of ``traps`` and ``tower`` stacked
+    on its P1 edge; returns the six cycle vertices."""
     verts = [f"{prefix}.{m}" for m in range(1, 7)]
     for m in range(6):
-        label = f"P{m + 1}"
-        builder.edge(verts[m], verts[(m + 1) % 6], tile.weight(label), f"T2.{label}")
+        builder.edge(verts[m], verts[(m + 1) % 6], tiles[2].weight(f"P{m + 1}"))
+    for pos, index in traps:
+        _attach_trapezoid(builder, verts, prefix, pos, tiles[index])
+    _attach_tower(builder, (verts[0], verts[1]), f"{prefix}.", tiles, tower)
     return verts
 
 
@@ -416,10 +423,9 @@ def _attach_trapezoid(
     }[pos]
     a = f"{prefix}.{pos}a"
     b = f"{prefix}.{pos}b"
-    label = f"T{index_label(tile.index)}@{pos}"
-    builder.edge(hex_verts[upper], a, tile.weight("N"), f"{label}.N")
-    builder.edge(a, b, None, f"{label}.W")
-    builder.edge(b, hex_verts[lower], None, f"{label}.S")
+    builder.edge(hex_verts[upper], a, tile.weight("N"))
+    builder.edge(a, b, None)
+    builder.edge(b, hex_verts[lower], None)
 
 
 def _attach_tower(
@@ -440,91 +446,49 @@ def _attach_tower(
             raise StructureError(f"tower tile T{index_label(index)} is not a square")
         new_left = f"{prefix}t{level}l"
         new_right = f"{prefix}t{level}r"
-        builder.edge(left, new_left, tile.weight("W"), f"T{index}.W")
-        builder.edge(new_left, new_right, None, f"T{index}.N")
-        builder.edge(new_right, right, tile.weight("E"), f"T{index}.E")
+        builder.edge(left, new_left, tile.weight("W"))
+        builder.edge(new_left, new_right, None)
+        builder.edge(new_right, right, tile.weight("E"))
         left, right = new_left, new_right
     return left, right
 
 
 def realize(tg: TileGraph) -> MatchingGraph:
     """Concrete weighted vertex/edge graph for a tile graph."""
-    family, rank = tg.family, tg.rank
-    tiles = tile_set(family, rank)
-    nvars = rank
-    names = variable_names(family, rank)
+    tiles = tile_set(tg.family, tg.rank)
+    names = variable_names(tg.family, tg.rank)
     layout = tg.layout
 
     if isinstance(layout, StripLayout):
-        pairs = []
-        notes = []
-        for index in layout.indices:
-            tile = tiles[index]
-            north = tile.weight("N")
-            south = tile.weight("S")
-            one = LaurentPolynomial.one(nvars)
-            pairs.append(
-                (
-                    one if north is None else LaurentPolynomial.variable(north, nvars),
-                    one if south is None else LaurentPolynomial.variable(south, nvars),
-                )
-            )
-            notes.append(f"T{index}")
-        return strip_graph(pairs, nvars, names, notes)
+        pairs = [(tiles[i].weight("N"), tiles[i].weight("S")) for i in layout.indices]
+        return strip_graph(pairs, tg.rank, names)
 
-    builder = _GraphBuilder(nvars, names)
-
+    builder = _GraphBuilder(tg.rank, names)
     if isinstance(layout, LoneTrapezoidLayout):
-        tile = tiles[layout.index]
         label = f"T{index_label(layout.index)}"
-        builder.edge(f"{label}.1", f"{label}.2", tile.weight("N"), f"{label}.N")
-        builder.edge(f"{label}.2", f"{label}.3", None, f"{label}.E")
-        builder.edge(f"{label}.3", f"{label}.4", None, f"{label}.S")
-        builder.edge(f"{label}.4", f"{label}.1", None, f"{label}.W")
-        return builder.build()
-
-    if isinstance(layout, TowerLayout):
-        builder.edge("t0l", "t0r", None, "tower.base")
+        builder.edge(f"{label}.1", f"{label}.2", tiles[layout.index].weight("N"))
+        builder.edge(f"{label}.2", f"{label}.3", None)
+        builder.edge(f"{label}.3", f"{label}.4", None)
+        builder.edge(f"{label}.4", f"{label}.1", None)
+    elif isinstance(layout, TowerLayout):
+        builder.edge("t0l", "t0r", None)
         _attach_tower(builder, ("t0l", "t0r"), "", tiles, layout.indices)
-        return builder.build()
-
-    if isinstance(layout, HexBaseLayout):
-        hex_verts = _hex_cycle(builder, "h1", tiles[2])
-        for pos, index in layout.traps:
-            _attach_trapezoid(builder, hex_verts, "h1", pos, tiles[index])
-        _attach_tower(builder, (hex_verts[0], hex_verts[1]), "h1.", tiles, layout.tower)
-        return builder.build()
-
-    if isinstance(layout, DoubleHexLayout):
-        return _realize_double_hex(builder, tg, tiles)
-
-    raise StructureError(f"unknown layout {layout!r}")
-
-
-def _realize_double_hex(
-    builder: _GraphBuilder, tg: TileGraph, tiles: dict[int, Tile]
-) -> MatchingGraph:
-    layout = tg.layout
-    assert isinstance(layout, DoubleHexLayout)
-    hex1 = _hex_cycle(builder, "h1", tiles[2])
-    hex2 = _hex_cycle(builder, "h2", tiles[2])
-    for pos, index in layout.west_traps:
-        _attach_trapezoid(builder, hex1, "h1", pos, tiles[index])
-    for pos, index in layout.east_traps:
-        _attach_trapezoid(builder, hex2, "h2", pos, tiles[index])
-    bridge = tiles[layout.bridge_index]
-    # Bridge trapezoid: glued across the west hexagon's P3 edge and the east
-    # hexagon's P5 edge.  The east hexagon is drawn turned, so the bridge
-    # edges cross -- upper-west to lower-east and vice versa -- with the
-    # weighted edge of the trapezoid on the h1.3--h2.5 side.  The additional
-    # arc is a unit edge joining h1.6 to h2.4 around the outside.  Both were
-    # calibrated against the belt oracle (B_3..B_5, D_4..D_6, G_2) and are
-    # independent of the tower heights.
-    builder.edge(hex1[2], hex2[4], bridge.weight("N"), "bridge.N")
-    builder.edge(hex1[3], hex2[5], None, "bridge.S")
-    _attach_tower(builder, (hex1[0], hex1[1]), "h1.", tiles, layout.left_tower)
-    _attach_tower(builder, (hex2[0], hex2[1]), "h2.", tiles, layout.right_tower)
-    builder.edge(hex1[5], hex2[3], None, "arc")
+    elif isinstance(layout, HexBaseLayout):
+        _hexagon(builder, "h1", tiles, layout.traps, layout.tower)
+    elif isinstance(layout, DoubleHexLayout):
+        west = _hexagon(builder, "h1", tiles, layout.west_traps, layout.left_tower)
+        east = _hexagon(builder, "h2", tiles, layout.east_traps, layout.right_tower)
+        # Bridge trapezoid T_1: glued across the west hexagon's P3 edge and
+        # the east hexagon's P5 edge.  The east hexagon is drawn turned, so
+        # the bridge edges cross -- upper-west to lower-east and vice versa --
+        # with the weighted edge of the trapezoid on the h1.3--h2.5 side.
+        # Bridge and arc were calibrated against the belt oracle (B_3..B_5,
+        # D_4..D_6, G_2) and are independent of the tower heights.
+        builder.edge(west[2], east[4], tiles[1].weight("N"))
+        builder.edge(west[3], east[5], None)
+        builder.edge(*_ARC, None)
+    else:
+        raise StructureError(f"unknown layout {layout!r}")
     return builder.build()
 
 
@@ -559,8 +523,7 @@ def _layout_gluings(layout: Layout) -> list[str]:
     if isinstance(layout, DoubleHexLayout):
         out = [f"T{index_label(i)}@{pos}~hex1.{pos}" for pos, i in layout.west_traps]
         out += [f"T{index_label(i)}@{pos}~hex2.{pos}" for pos, i in layout.east_traps]
-        bridge = f"bridge(T{index_label(layout.bridge_index)})"
-        out += [f"{bridge}.W~hex1.P3", f"{bridge}.E~hex2.P5"]
+        out += ["bridge(T1).W~hex1.P3", "bridge(T1).E~hex2.P5"]
         out += tower_gluings("hex1.P1", layout.left_tower, "twl")
         out += tower_gluings("hex2.P1", layout.right_tower, "twr")
         return sorted(out)
@@ -568,16 +531,12 @@ def _layout_gluings(layout: Layout) -> list[str]:
 
 
 def tilegraph_to_json(tg: TileGraph) -> str:
-    mg = realize(tg)
-    tiles = [
-        {"index": index_label(i), "shape": tile_set(tg.family, tg.rank)[i].shape}
-        for i in tg.tile_multiset()
-    ]
-    arcs = sorted([e.key() for e in mg.edges if e.tile == "arc"])
+    catalogue = tile_set(tg.family, tg.rank)
+    tiles = [{"index": index_label(i), "shape": catalogue[i].shape} for i in tg.tile_multiset()]
     payload = {
         "tiles": tiles,
         "gluings": _layout_gluings(tg.layout),
-        "arcs": [list(a) for a in arcs],
+        "arcs": [list(_ARC)] if isinstance(tg.layout, DoubleHexLayout) else [],
         "mu": list(tg.mu),
     }
     return json.dumps(payload, sort_keys=True)

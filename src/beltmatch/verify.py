@@ -23,7 +23,7 @@ from .errors import PoleError
 from .laurent import LaurentPolynomial
 from .matchenum import cluster_expansion, matching_polynomial
 from .mutation import belt, check_supported, exchange_matrix, noninitial_variables, variable_names
-from .tilegraphs import enumerate_family, strip_graph
+from .tilegraphs import MatchingGraph, enumerate_family, strip_graph
 
 
 @dataclass(frozen=True)
@@ -94,8 +94,8 @@ def verify_theorem(family: str, rank: int) -> CheckResult:
             }
             return False, details
         for root, expected in sorted(oracle.items()):
-            numerator = expected.split().numerator
-            if any(c <= 0 for c in numerator.coefficients()):
+            # A monomial shift leaves coefficients alone: these are the numerator's.
+            if any(c <= 0 for c in expected.coefficients()):
                 details["counterexample"] = {
                     "root": list(root),
                     "why": "nonpositive numerator coefficient",
@@ -128,6 +128,7 @@ class ExtendedLatticeConfig:
     """
 
     max_index: int
+    vanishing_slot = 0  # y_0
 
     @property
     def nvars(self) -> int:
@@ -149,34 +150,28 @@ class ExtendedLatticeConfig:
         value = LaurentPolynomial.variable(slot, n)
         return value if m >= 0 else -value
 
-    def tile_strip(self, lo: int, hi: int):
-        """The grid graph of tiles lo..hi (north y_{i+1}, south y_{i-1})."""
-        return _tile_strip(self, lo, hi)
 
-    def laurent_of_strip(self, lo: int, hi: int) -> LaurentPolynomial:
-        """P(strip)/tile monomial with the limit y_0 -> 0 taken exactly."""
-        return _strip_limit(self, lo, hi, vanishing_slot=0)
-
-
-def _tile_strip(config, lo: int, hi: int):
-    """Tiles lo..hi of a config with ``weight``/``nvars``/``names``: tile i has
-    north weight(i+1) and south weight(i-1)."""
+def tile_strip(
+    config: ExtendedLatticeConfig | BExtendedConfig, lo: int, hi: int
+) -> MatchingGraph:
+    """The grid graph of tiles lo..hi: tile i has north weight(i+1) and south weight(i-1)."""
     pairs = [(config.weight(i + 1), config.weight(i - 1)) for i in range(lo, hi + 1)]
-    notes = [f"T~{i}" for i in range(lo, hi + 1)]
-    return strip_graph(pairs, config.nvars, config.names, notes)
+    return strip_graph(pairs, config.nvars, config.names)
 
 
-def _strip_limit(config, lo: int, hi: int, vanishing_slot: int) -> LaurentPolynomial:
-    """P(tiles lo..hi) divided exactly by the tile monomial, then the
-    vanishing slot sent to 0; the empty strip is 1."""
+def strip_limit(
+    config: ExtendedLatticeConfig | BExtendedConfig, lo: int, hi: int
+) -> LaurentPolynomial:
+    """P(tiles lo..hi) divided exactly by the tile monomial, then the config's
+    vanishing slot sent to 0 (the exact limit); the empty strip is 1."""
     one = LaurentPolynomial.one(config.nvars)
     if lo > hi:
         return one
     monomial = one
     for i in range(lo, hi + 1):
         monomial = monomial * config.weight(i)
-    quotient = matching_polynomial(_tile_strip(config, lo, hi)).div_exact(monomial)
-    return quotient.substitute({vanishing_slot: LaurentPolynomial.zero(config.nvars)})
+    quotient = matching_polynomial(tile_strip(config, lo, hi)).div_exact(monomial)
+    return quotient.substitute({config.vanishing_slot: LaurentPolynomial.zero(config.nvars)})
 
 
 # -- condensation -------------------------------------------------------------------
@@ -219,8 +214,8 @@ def check_condensation(center: int, halfwidth: int) -> CheckResult:
         details: dict = {"center": i, "halfwidth": j}
         if j == 2:
             ones = {slot: LaurentPolynomial.one(1) for slot in range(nvars)}
-            lhs_units = lhs.substitute(ones, nvars=1).coefficient((0,))
-            rhs_units = rhs.substitute(ones, nvars=1).coefficient((0,))
+            lhs_units = lhs.substitute(ones).coefficient((0,))
+            rhs_units = rhs.substitute(ones).coefficient((0,))
             details["unit_instance"] = f"{lhs_units} = {rhs_units}"
         if lhs != rhs:
             details["counterexample"] = {
@@ -245,7 +240,7 @@ def check_center_one(j: int, parity: str) -> CheckResult:
             raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
         hi = j + 2 if parity == "odd" else j + 1
         config = ExtendedLatticeConfig(max_index=j + 3)
-        got = config.laurent_of_strip(-j, hi)
+        got = strip_limit(config, -j, hi)
         expected = (
             LaurentPolynomial.one(config.nvars)
             if parity == "odd"
@@ -253,7 +248,7 @@ def check_center_one(j: int, parity: str) -> CheckResult:
         )
         details: dict = {"j": j, "parity": parity, "tiles": hi + j + 1}
         if j == 0 and parity == "even":
-            raw = matching_polynomial(config.tile_strip(0, 1))
+            raw = matching_polynomial(tile_strip(config, 0, 1))
             details["base_case"] = raw.to_text(config.names)
         if got != expected:
             details["counterexample"] = {
@@ -284,6 +279,10 @@ class BExtendedConfig:
         return self.n + 1
 
     @property
+    def vanishing_slot(self) -> int:
+        return self.n  # x_{n+2}
+
+    @property
     def names(self) -> tuple[str, ...]:
         return tuple(f"x{i}" for i in range(1, self.n + 1)) + ("x0",)
 
@@ -297,10 +296,6 @@ class BExtendedConfig:
         if m == self.n + 2:
             return LaurentPolynomial.variable(self.n, self.nvars)
         return -self.weight(2 * (self.n + 2) - m)
-
-    def tower_laurent(self, a: int, b: int) -> LaurentPolynomial:
-        """Laurent polynomial of tower T_a..T_b with the boundary limit applied."""
-        return _strip_limit(self, a, b, vanishing_slot=self.n)
 
 
 def check_excision(scenario: tuple) -> CheckResult:
@@ -322,8 +317,8 @@ def check_excision(scenario: tuple) -> CheckResult:
         if kind == "A":
             _, j, k = scenario
             config = ExtendedLatticeConfig(max_index=j + k + 1)
-            whole = config.laurent_of_strip(2 - j, j + k)
-            excised = config.laurent_of_strip(j + 1, j + k)
+            whole = strip_limit(config, 2 - j, j + k)
+            excised = strip_limit(config, j + 1, j + k)
             details: dict = {"scenario": ["A", j, k], "tiles": 2 * j + k - 1}
             if whole != excised:
                 details["counterexample"] = {
@@ -335,11 +330,11 @@ def check_excision(scenario: tuple) -> CheckResult:
         if kind == "B":
             _, n, a, b = scenario
             config = BExtendedConfig(n)
-            lhs = config.tower_laurent(a, b)
-            reflected = config.tower_laurent(a, 2 * n + 1 - b)
+            lhs = strip_limit(config, a, b)
+            reflected = strip_limit(config, a, 2 * n + 1 - b)
             details = {"scenario": ["B", n, a, b], "reflection": [a, 2 * n + 1 - b]}
             try:
-                printed = config.tower_laurent(a, 2 * n + 2 - b)
+                printed = strip_limit(config, a, 2 * n + 2 - b)
                 details["printed_formula_matches"] = bool(lhs == printed)
             except PoleError:
                 details["printed_formula_matches"] = False

@@ -6,6 +6,11 @@ of difference in these outputs is a regression.  The cases cover roots,
 belt, variables, graphs and ``verify --checks all`` in both formats, expand
 in all three formats (including the B_3 tower root 0,0,1 and the
 double-hexagon root 2,2,1 as DOT), and the files ``graphs --dot-dir`` writes.
+
+The B_5 and D_6 entries were added later, recorded from the code before the
+graph builder gave both hexagons of a two-hexagon graph one code path.  Their
+highest roots are two-hexagon graphs with a tower on each half, so these
+entries pin the vertex names and weights of those graphs.
 """
 
 from __future__ import annotations
@@ -57,6 +62,8 @@ STDOUT_DIGESTS = {
     "expand --type B --rank 3 --root 2,2,1 --format text": (0, "42c88cdcf8d4188be0030a05017aa7a17b2bf365bdeb885f605a454fd00bee4e"),
     "expand --type B --rank 3 --root 2,2,1 --format json": (0, "b6143aef01bdc6c4f982c25cfc74425c4e5e436e0ce325c7b85873b65539ca4a"),
     "expand --type B --rank 3 --root 2,2,1 --format dot": (0, "5850864493edadf2a24aa7d4c3ac9331baf3f606ef9a595ab0679d7ec8305cad"),
+    "graphs --type B --rank 5 --format json": (0, "c7b0fa9a67bcf21e245b314203fb212c26b45f46cee169036bcb240b6f8ce583"),
+    "expand --type B --rank 5 --root 2,2,2,2,1 --format dot": (0, "eaf17c8555d9f59f2d281b62bdd51d4375e44fe490562e2ce1f30ad2b1e7c510"),
     "roots --type C --rank 3 --format json": (0, "57dbdf9e09cc829b12d530b8085c5e8f3ccf9c3718547679ec3017abcc00e7a4"),
     "roots --type C --rank 3 --format text": (0, "687a060c25e7fad50eeca3ef26761a6957529b004343dc5333df03ed09884844"),
     "belt --type C --rank 3 --format json": (0, "6e422cd06c3c119b48d37797dbc846e0e5168951443f22e261f05ae89653eadf"),
@@ -92,6 +99,8 @@ STDOUT_DIGESTS = {
     "expand --type D --rank 4 --root 1,1,2,1 --format text": (0, "05f540095d6af0942083504d9ffe3418daf3e8a4ed817bac1c34be9b7b8b32e4"),
     "expand --type D --rank 4 --root 1,1,2,1 --format json": (0, "f1c403678fd6d62b20b8d7744ec7e83288dd1c377a91a19637f8a6c4a55f7828"),
     "expand --type D --rank 4 --root 1,1,2,1 --format dot": (0, "a1e7e13ea0f2eebf0be82a8022e43824a8a55be54c41dcc34f02a86de7290b26"),
+    "graphs --type D --rank 6 --format json": (0, "6896d270ab8d311be1fff554634d25268b8f35d539523221e142fe1dc842682d"),
+    "expand --type D --rank 6 --root 1,1,2,2,2,1 --format dot": (0, "a5c9924aff355b96ee7c0fcab0282f82c20f721ccf4e4881a222c51a0bd45bdf"),
     "roots --type G2 --rank 2 --format json": (0, "21bd41808a19bb51c48a6972a086ae750fc4d4ea10363ca11f6433fd72fbe268"),
     "roots --type G2 --rank 2 --format text": (0, "8a6c6ab1116fc9f68ed55dab89ff57b948e664fcd594f9cff53f5596ef3ced1a"),
     "belt --type G2 --rank 2 --format json": (0, "a61519eaeaeda96e3b3ee0e66295d89f0cab4d681f4c0734ea266215adcd74f3"),
@@ -115,8 +124,10 @@ STDOUT_DIGESTS = {
 DOT_DIR_DIGESTS = {
     "A3": (0, "b9f6f2885398c4f0edead7c890efddb356118ebae1d0d5600d37e5815f4348fc"),
     "B3": (0, "47f969d7a950674f4023cd427d10a492b7e618750902b135e0a71b7d3c636eba"),
+    "B5": (0, "1e0b082703d5dbdfafbf819c1fff6d17ccf7950f4fdb666f4e1f973e63feaec1"),
     "C3": (0, "963c95123a5a6709ee33c6988136db80bd3b8196c93545569dd5e76c1c4c798a"),
     "D4": (0, "82f4499e3aaf978d4aa706eb91f2efd3adc80372692f39e2b05c17073b8c0ace"),
+    "D6": (0, "c30002bfd40992a4b5f4f1bff316323233932a0551f8c4c5ecd4ff11012f8471"),
     "G22": (0, "d92adc0acd62ee05d40dfe04d3199d292b2c710060153028d1af8fee59da86ba"),
 }
 

@@ -334,6 +334,13 @@ def test_ring_operations_match_sympy(pq):
 @example((parse2("1"), parse2("2*x2 + 1"), parse2("x2")), True)
 @example((parse2("x1 + 3"), parse2("2*x2 + 1"), LP.zero(2)), False)
 @example((parse2("x1 + 3"), parse2("2*x2 + x1^-1"), parse2("x1^-1*x2")), True)
+# One-term divisors: unit and non-unit coefficients, negative exponents,
+# exact and inexact.
+@example((parse2("x1^2 + x2 - 3"), parse2("x1^-1*x2^2"), LP.zero(2)), False)
+@example((parse2("x1 + 3"), parse2("-x2^-2"), parse2("x1^-1")), True)
+@example((parse2("x1^-1 + 5*x2"), parse2("3*x1^-2"), LP.zero(2)), False)
+@example((parse2("x1^-1 + 5*x2"), parse2("-3*x1^-2"), parse2("x2^-1")), True)
+@example((LP.parse("x1^3 - 2", 1), LP.parse("-2*x1^-1", 1), LP.parse("x1", 1)), True)
 @settings(max_examples=80, deadline=None)
 def test_div_exact_matches_sympy(pqr, perturb):
     p, q, r = pqr

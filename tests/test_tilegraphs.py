@@ -212,10 +212,22 @@ def test_realized_weights_are_units_or_single_variables():
 
 def test_realize_double_hex_has_the_extra_arc():
     g = realize(graph_for_root("B", 3, (2, 2, 1)))
-    arcs = [e for e in g.edges if e.tile == "arc"]
+    arcs = [e for e in g.edges if e.key() == ("h1.6", "h2.4")]
     assert len(arcs) == 1
     assert arcs[0].key() == ("h1.6", "h2.4")
     assert arcs[0].weight.to_text(g.names) == "1"
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("B", 3), ("B", 4), ("B", 5), ("D", 4), ("D", 5), ("D", 6), ("G2", 2)]
+)
+def test_arc_exactly_on_two_hexagon_graphs(family, rank):
+    for graph in enumerate_family(family, rank):
+        two_hexagons = isinstance(graph.layout, DoubleHexLayout)
+        keys = {e.key() for e in realize(graph).edges}
+        assert (("h1.6", "h2.4") in keys) == two_hexagons
+        arcs = json.loads(tilegraph_to_json(graph))["arcs"]
+        assert arcs == ([["h1.6", "h2.4"]] if two_hexagons else [])
 
 
 # -- serialization ------------------------------------------------------------------------

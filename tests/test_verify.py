@@ -20,6 +20,8 @@ from beltmatch.verify import (
     folding_assignment_a_to_c,
     folding_assignment_d_to_b,
     run_checks,
+    strip_limit,
+    tile_strip,
     verify_theorem,
 )
 
@@ -52,7 +54,7 @@ def test_center_one_base_cases():
     assert result.details["base_case"] == "y0*y2"
     # The four-tile case reduces to y3 after division and the y0 -> 0 limit.
     config = ExtendedLatticeConfig(max_index=4)
-    assert config.laurent_of_strip(-1, 2) == LP.variable(3, config.nvars)
+    assert strip_limit(config, -1, 2) == LP.variable(3, config.nvars)
 
 
 def test_center_one_grid():
@@ -66,9 +68,9 @@ def test_excision_window_example():
     # Tiles T~1 u T~2 carry matching weights 1, y0*y2, y3; after division by
     # y2 and the y0 -> 0 limit this equals the lone tile T~2 over y2.
     config = ExtendedLatticeConfig(max_index=4)
-    raw = matching_polynomial(config.tile_strip(1, 2))
+    raw = matching_polynomial(tile_strip(config, 1, 2))
     assert raw == LP.parse("y0*y2 + y3 + 1", config.nvars, config.names)
-    assert config.laurent_of_strip(1, 2) == config.laurent_of_strip(2, 2)
+    assert strip_limit(config, 1, 2) == strip_limit(config, 2, 2)
     assert check_excision(("A", 1, 1)).passed
 
 
@@ -101,9 +103,9 @@ def test_b_extended_tower_reduces_to_plain_tower():
     # T_3 u T_4 u T_5 at rank 4 excises to T_3 u T_4; at rank 3 it is centred
     # on the excision tile and collapses to the Laurent polynomial 1.
     config4 = BExtendedConfig(4)
-    assert config4.tower_laurent(3, 5) == config4.tower_laurent(3, 4)
+    assert strip_limit(config4, 3, 5) == strip_limit(config4, 3, 4)
     config3 = BExtendedConfig(3)
-    assert config3.tower_laurent(3, 5) == LP.one(config3.nvars)
+    assert strip_limit(config3, 3, 5) == LP.one(config3.nvars)
 
 
 def test_folding_checks():
