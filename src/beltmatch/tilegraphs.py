@@ -434,8 +434,8 @@ def _attach_tower(
     prefix: str,
     tiles: dict[int, Tile],
     indices: Sequence[int],
-) -> tuple[str, str]:
-    """Stack rotated squares on the ``base`` rung (left, right); returns the top rung.
+) -> None:
+    """Stack rotated squares on the ``base`` rung (left, right).
 
     Rung k is named ``{prefix}t{k}l`` / ``{prefix}t{k}r``.
     """
@@ -450,7 +450,6 @@ def _attach_tower(
         builder.edge(new_left, new_right, None)
         builder.edge(new_right, right, tile.weight("E"))
         left, right = new_left, new_right
-    return left, right
 
 
 def realize(tg: TileGraph) -> MatchingGraph:
