@@ -5,7 +5,7 @@ primary output format; the text format renders the same data.  All output
 is deterministic (terms and records sorted canonically).  ``verify --jobs N``
 is accepted for compatibility only: checks always run one at a time, so N
 changes nothing.  Exit codes: 0 success / all checks pass, 1 a
-verification check failed, 2 usage error.
+verification check failed, 2 usage error or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from .errors import BijectionError, IterationLimitError, UnsupportedTypeError
 from .laurent import LaurentPolynomial
 from .matchenum import cluster_expansion
 from .mutation import (
+    FAMILIES,
     belt,
     check_supported,
-    column_labels,
     noninitial_variables,
     roots,
     variable_names,
@@ -65,14 +65,10 @@ def cmd_belt(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "json":
         return 0, lattice.to_json()
     names = variable_names(args.type, args.rank)
-    labels = column_labels(args.type, args.rank)
-    lines = []
-    for row in lattice.rows():
-        lines.append(
-            "   ".join(
-                f"x{labels[c.slot]}^({c.superscript})={_pretty(c.value, names)}" for c in row
-            )
-        )
+    lines = (
+        "   ".join(f"{names[c.slot]}^({c.superscript})={_pretty(c.value, names)}" for c in row)
+        for row in lattice.rows
+    )
     return 0, "\n".join(lines)
 
 
@@ -147,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("json", "text")) -> None:
-        p.add_argument("--type", required=True, choices=("A", "B", "C", "D", "G2"))
+        p.add_argument("--type", required=True, choices=FAMILIES)
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--format", choices=formats, default=formats[0])
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
@@ -198,18 +194,19 @@ def main(argv: list[str] | None = None) -> int:
     try:
         check_supported(args.type, args.rank)
         code, output = COMMANDS[args.command](args)
+        if args.out is not None:
+            Path(args.out).write_text(output + "\n")
     except (
         UnsupportedTypeError,
         BijectionError,
         IterationLimitError,
         argparse.ArgumentTypeError,
         ValueError,
+        OSError,  # an unwritable --out or --dot-dir path
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    if args.out is not None:
-        Path(args.out).write_text(output + "\n")
-    else:
+    if args.out is None:
         print(output)
     return code
 

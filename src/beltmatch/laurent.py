@@ -355,7 +355,8 @@ class LaurentPolynomial:
             t = lead_r - lead_b + zero
             if (t - floor) & zero != zero or coeff_r % coeff_b:
                 raise InexactDivisionError("division left a nonzero remainder")
-            _check_range((t,), nvars)
+            if (t ^ (t >> 1)) & low != low:
+                _check_range((t,), nvars)  # raises, naming the exponent vector
             c = coeff_r // coeff_b
             quotient[t] = c
             for offset, cb in tail:

@@ -2,10 +2,14 @@
 
 This is the oracle side of the package: exchange-matrix mutation, binomial
 seed exchange, and row-by-row generation of cluster variables by mutating
-all odd-labelled directions, then all even-labelled ones, repeatedly.  The
-initial exchange matrices are the bipartite ones for A_n, B_n, C_n, D_n and
-G_2; for D_n the rows and columns are ordered (1, 1bar, 2, 3, ..., n-1),
-with 1bar stored in slot 1 of the ambient ring.
+all odd-labelled directions, then all even-labelled ones, repeatedly.
+
+Every per-node convention is read off one Dynkin diagram per (family,
+rank): ``nodes`` gives the node each slot of the ambient ring holds (for
+D_n the order (1, 1bar, 2, 3, ..., n-1), with 1bar written -1), and
+``_bonds`` gives each edge with its two multiplicities.  The labels, the
+variable names, the odd/even sweeps and the bipartite initial exchange
+matrix all derive from these two, as do the tile slots in ``tilegraphs``.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import Mapping
 
@@ -38,64 +43,53 @@ def check_supported(family: str, rank: int) -> None:
         raise UnsupportedTypeError(f"{family}_{rank} is below the minimum supported rank")
 
 
-def variable_names(family: str, rank: int) -> tuple[str, ...]:
-    """Canonical print names; D_n uses x1, x1b, x2, ..., x{n-1}."""
+def nodes(family: str, rank: int) -> tuple[int, ...]:
+    """The Dynkin node held by each slot: (1, -1, 2, ..., n-1) for D_n, where
+    -1 is 1bar, and (1, ..., n) for the other families."""
     check_supported(family, rank)
     if family == "D":
-        return ("x1", "x1b") + tuple(f"x{k}" for k in range(2, rank))
-    return tuple(f"x{i}" for i in range(1, rank + 1))
+        return (1, -1) + tuple(range(2, rank))
+    return tuple(range(1, rank + 1))
+
+
+def node_label(node: int) -> str:
+    return "1b" if node == -1 else str(node)
 
 
 def column_labels(family: str, rank: int) -> tuple[str, ...]:
     """Column labels of the belt lattice, in slot order."""
-    check_supported(family, rank)
-    if family == "D":
-        return ("1", "1b") + tuple(str(k) for k in range(2, rank))
-    return tuple(str(i) for i in range(1, rank + 1))
+    return tuple(node_label(node) for node in nodes(family, rank))
 
 
-def coxeter_number(family: str, rank: int) -> int:
-    check_supported(family, rank)
-    if family == "A":
-        return rank + 1
-    if family in ("B", "C"):
-        return 2 * rank
+def variable_names(family: str, rank: int) -> tuple[str, ...]:
+    """Canonical print names; D_n uses x1, x1b, x2, ..., x{n-1}."""
+    return tuple("x" + label for label in column_labels(family, rank))
+
+
+# |b_12| and |b_21| of the multiple bond between nodes 1 and 2.
+_MULTIPLE_BOND = {"B": (1, 2), "C": (2, 1), "G2": (1, 3)}
+
+
+def _bonds(family: str, rank: int) -> list[tuple[int, int, int, int]]:
+    """Each Dynkin edge as (i, j, |b_ij|, |b_ji|): the path 1 - 2 - ... up to
+    the top node, and for D_n the fork 1bar - 2."""
+    bonds = [(i, i + 1, 1, 1) for i in range(1, max(nodes(family, rank)))]
+    if family in _MULTIPLE_BOND:
+        bonds[0] = (1, 2, *_MULTIPLE_BOND[family])
     if family == "D":
-        return 2 * rank - 2
-    return 6
+        bonds.append((-1, 2, 1, 1))
+    return bonds
 
 
 def exchange_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
-    """The bipartite initial exchange matrix (rows of like sign)."""
-    check_supported(family, rank)
-    n = rank
-    rows = [[0] * n for _ in range(n)]
-    if family == "G2":
-        return ((0, 1), (-3, 0))
-    if family == "D":
-        # Slots: 0 <-> node 1, 1 <-> node 1bar, k <-> node k for k >= 2.
-        # Node k >= 2 has row sign (-1)^(k+1); nodes 1 and 1bar are odd.
-        rows[0][2] = 1
-        rows[1][2] = 1
-        rows[2][0] = rows[2][1] = -1
-        rows[2][3] = -1
-        for k in range(3, n):
-            sign = 1 if k % 2 == 1 else -1
-            rows[k][k - 1] = sign
-            if k + 1 < n:
-                rows[k][k + 1] = sign
-        return tuple(tuple(r) for r in rows)
-    for i in range(1, n + 1):
-        sign = 1 if i % 2 == 1 else -1
-        if i > 1:
-            rows[i - 1][i - 2] = sign
-        if i < n:
-            rows[i - 1][i] = sign
-    if family == "B":
-        rows[1][0] = -2
-    elif family == "C":
-        rows[0][1] = 2
-    return tuple(tuple(r) for r in rows)
+    """The bipartite initial exchange matrix: rows of odd nodes are
+    nonnegative, rows of even nodes nonpositive."""
+    slot = nodes(family, rank).index
+    rows = [[0] * rank for _ in range(rank)]
+    for i, j, bij, bji in _bonds(family, rank):
+        rows[slot(i)][slot(j)] = bij if i % 2 else -bij
+        rows[slot(j)][slot(i)] = bji if j % 2 else -bji
+    return tuple(tuple(row) for row in rows)
 
 
 @cache
@@ -107,16 +101,11 @@ def roots(family: str, rank: int) -> tuple[RootVector, ...]:
 def parity_groups(family: str, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Slots mutated in the odd sweep and in the even sweep.
 
-    D_n mutates (1, 1bar, 3, 5, ...) then (2, 4, ...); the other families
-    mutate odd labels then even labels.
+    A slot is odd when its node is; -1 % 2 == 1, so D_n's 1bar is odd.
     """
-    check_supported(family, rank)
-    if family == "D":
-        odd = (0, 1) + tuple(k for k in range(3, rank) if k % 2 == 1)
-        even = tuple(k for k in range(2, rank) if k % 2 == 0)
-        return odd, even
-    odd = tuple(i for i in range(rank) if i % 2 == 0)
-    even = tuple(i for i in range(rank) if i % 2 == 1)
+    order = nodes(family, rank)
+    odd = tuple(slot for slot, node in enumerate(order) if node % 2)
+    even = tuple(slot for slot, node in enumerate(order) if not node % 2)
     return odd, even
 
 
@@ -214,11 +203,10 @@ class Seed:
 
 
 def initial_seed(family: str, rank: int) -> Seed:
-    check_supported(family, rank)
-    cluster = tuple(LaurentPolynomial.variable(i, rank) for i in range(rank))
     matrix = ExchangeMatrix(exchange_matrix(family, rank))
     if not matrix.is_bipartite():
         raise ValueError("initial exchange matrix must have rows of like sign")
+    cluster = tuple(LaurentPolynomial.variable(i, rank) for i in range(rank))
     return Seed(cluster, matrix)
 
 
@@ -231,33 +219,25 @@ class BeltCell:
 
 @dataclass(frozen=True)
 class BeltLattice:
-    """Rows of x_i^(j) values generated along the bipartite belt."""
+    """Rows of x_i^(j) values generated along the bipartite belt.
+
+    The first two rows are the odd and the even slots of the initial
+    cluster; each later row is one sweep, in slot order.
+    """
 
     family: str
     rank: int
-    cells: tuple[BeltCell, ...]
-    sweeps: int
+    rows: tuple[tuple[BeltCell, ...], ...]
 
     @cached_property
     def values(self) -> Mapping[tuple[int, int], LaurentPolynomial]:
         """Every cell value keyed by (slot, superscript); read-only, as belts are shared."""
-        return MappingProxyType({(cell.slot, cell.superscript): cell.value for cell in self.cells})
+        return MappingProxyType(
+            {(cell.slot, cell.superscript): cell.value for row in self.rows for cell in row}
+        )
 
     def value(self, slot: int, superscript: int) -> LaurentPolynomial | None:
         return self.values.get((slot, superscript))
-
-    def rows(self) -> list[list[BeltCell]]:
-        by_sup: dict[int, list[BeltCell]] = {}
-        for cell in self.cells:
-            by_sup.setdefault(cell.superscript, []).append(cell)
-        out: list[list[BeltCell]] = []
-        odd, even = parity_groups(self.family, self.rank)
-        initial = by_sup.pop(0, [])
-        out.append(sorted((c for c in initial if c.slot in odd), key=lambda c: c.slot))
-        out.append(sorted((c for c in initial if c.slot in even), key=lambda c: c.slot))
-        for sup in sorted(by_sup):
-            out.append(sorted(by_sup[sup], key=lambda c: c.slot))
-        return out
 
     def to_json(self) -> str:
         names = variable_names(self.family, self.rank)
@@ -274,7 +254,7 @@ class BeltLattice:
                     }
                     for cell in row
                 ]
-                for row in self.rows()
+                for row in self.rows
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -297,16 +277,15 @@ def _noninitial_denominator(value: LaurentPolynomial) -> RootVector | None:
 def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
     """Generate belt rows until the denominator vectors cover all positive roots.
 
-    Exceeding the row cap (default 2*(h+2) sweeps, h the Coxeter number)
-    without covering every positive root raises IterationLimitError.  The
-    lattice is immutable and cached per (family, rank, max_rows).
+    Exceeding the row cap (default 2*(h+2) sweeps, h = 2|roots|/n the Coxeter
+    number) without covering every positive root raises IterationLimitError.
+    The lattice is immutable and cached per (family, rank, max_rows).
     """
-    check_supported(family, rank)
     wanted = set(roots(family, rank))
-    cap = max_rows if max_rows is not None else 2 * (coxeter_number(family, rank) + 2)
+    cap = max_rows if max_rows is not None else 2 * (2 * len(wanted) // rank + 2)
     odd, even = parity_groups(family, rank)
     seed = initial_seed(family, rank)
-    cells = [BeltCell(slot, 0, seed.cluster[slot]) for slot in range(seed.matrix.n)]
+    rows = [tuple(BeltCell(k, 0, seed.cluster[k]) for k in group) for group in (odd, even)]
     covered: set[RootVector] = set()
     sweep = 0
     while covered != wanted:
@@ -318,22 +297,21 @@ def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
         group = odd if sweep % 2 == 1 else even
         for k in group:
             seed = seed.mutate(k)
-        for k in group:
-            value = seed.cluster[k]
-            cells.append(BeltCell(k, sweep, value))
-            denominator = _noninitial_denominator(value)
+        rows.append(tuple(BeltCell(k, sweep, seed.cluster[k]) for k in group))
+        for cell in rows[-1]:
+            denominator = _noninitial_denominator(cell.value)
             if denominator is not None:
                 covered.add(denominator)
-    return BeltLattice(family, rank, tuple(cells), sweep)
+    return BeltLattice(family, rank, tuple(rows))
 
 
 @cache
 def _variables(family: str, rank: int) -> dict[RootVector, LaurentPolynomial]:
     out: dict[RootVector, LaurentPolynomial] = {}
-    for cell in belt(family, rank).cells:
+    for cell in chain.from_iterable(belt(family, rank).rows):
         denominator = _noninitial_denominator(cell.value)
         if denominator is None:
-            continue  # an initial variable, in row 0 or at the end of the period
+            continue  # an initial variable, in the first two rows or at the end of the period
         seen = out.get(denominator)
         if seen is not None and seen != cell.value:
             raise BijectionError(f"two distinct variables share denominator {denominator}")

@@ -11,6 +11,10 @@ of every realized family graph must reproduce the belt oracle, and the
 shapes below were calibrated against it for B_3..B_5, D_4..D_6 and G_2
 before being frozen.
 
+Tile T_i belongs to Dynkin node i (T_1bar is index -1).  Its ambient slot,
+its label, and the top tile index all come from ``mutation.nodes`` and
+``mutation.node_label``, as does each graph's multiplicity vector mu.
+
 Families and their graphs:
 
 * A_n: squares glued in a row; graphs are the intervals T_i..T_j.
@@ -31,11 +35,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cache
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import BijectionError, StructureError
 from .laurent import LaurentPolynomial
-from .mutation import check_supported, roots, variable_names
+from .mutation import check_supported, node_label, nodes, roots, variable_names
 from .rootsys import RootVector
 
 Weight = Union[int, None]  # ambient variable slot, None for a unit edge
@@ -60,29 +64,10 @@ class Tile:
         raise KeyError(label)
 
 
-def index_label(index: int) -> str:
-    return "1b" if index == -1 else str(index)
-
-
-def _slot(family: str, index: int) -> int:
-    """Ambient variable slot of x_index (D_n keeps x_1bar in slot 1)."""
-    if family == "D":
-        if index == 1:
-            return 0
-        if index == -1:
-            return 1
-        return index
-    return index - 1
-
-
 def tile_set(family: str, rank: int) -> dict[int, Tile]:
-    """The tile catalogue keyed by tile index."""
-    check_supported(family, rank)
+    """The tile catalogue keyed by tile index; T_i weighs x_j by the slot of node j."""
+    slot = nodes(family, rank).index
     tiles: dict[int, Tile] = {}
-
-    def slot(index: int) -> int:
-        return _slot(family, index)
-
     if family in ("A", "C"):
         for i in range(1, rank + 1):
             north = slot(i + 1) if i + 1 <= rank else None
@@ -108,7 +93,7 @@ def tile_set(family: str, rank: int) -> dict[int, Tile]:
         )
         return tiles
 
-    top = rank if family == "B" else rank - 1  # D_n tiles run up to n-1
+    top = max(nodes(family, rank))  # D_n tiles run up to n-1
     trapezoid = Tile(1, "trapezoid", (("N", slot(2)), ("E", None), ("S", None), ("W", None)))
     tiles[1] = trapezoid
     if family == "D":
@@ -192,39 +177,33 @@ class TileGraph:
     mu: RootVector
     layout: Layout
 
-    def tile_multiset(self) -> list[int]:
-        """Tile indices with multiplicity, in layout order."""
-        layout = self.layout
-        if isinstance(layout, StripLayout):
-            return list(layout.indices)
-        if isinstance(layout, TowerLayout):
-            return list(layout.indices)
-        if isinstance(layout, LoneTrapezoidLayout):
-            return [layout.index]
-        if isinstance(layout, HexBaseLayout):
-            return [i for _, i in layout.traps] + [2] + list(layout.tower)
-        return (
-            [i for _, i in layout.west_traps]
-            + [2]
-            + list(layout.left_tower)
-            + [1]  # the bridge
-            + [2]
-            + list(layout.right_tower)
-            + [i for _, i in layout.east_traps]
-        )
 
-
-def _mu_from_tiles(family: str, rank: int, indices: Iterable[int]) -> RootVector:
-    mu = [0] * rank
-    for index in indices:
-        mu[_slot(family, index)] += 1
-    return tuple(mu)
+def _layout_tiles(layout: Layout) -> list[int]:
+    """Tile indices with multiplicity, in layout order."""
+    if isinstance(layout, (StripLayout, TowerLayout)):
+        return list(layout.indices)
+    if isinstance(layout, LoneTrapezoidLayout):
+        return [layout.index]
+    if isinstance(layout, HexBaseLayout):
+        return [i for _, i in layout.traps] + [2] + list(layout.tower)
+    return (
+        [i for _, i in layout.west_traps]
+        + [2]
+        + list(layout.left_tower)
+        + [1]  # the bridge
+        + [2]
+        + list(layout.right_tower)
+        + [i for _, i in layout.east_traps]
+    )
 
 
 def _make_graph(family: str, rank: int, layout: Layout) -> TileGraph:
-    tg = TileGraph(family, rank, (), layout)
-    mu = _mu_from_tiles(family, rank, tg.tile_multiset())
-    return TileGraph(family, rank, mu, layout)
+    """The tile graph of ``layout``; mu counts its tiles by the slot of their node."""
+    slot = nodes(family, rank).index
+    mu = [0] * rank
+    for index in _layout_tiles(layout):
+        mu[slot(index)] += 1
+    return TileGraph(family, rank, tuple(mu), layout)
 
 
 # -- family catalogues ---------------------------------------------------------
@@ -254,7 +233,7 @@ def enumerate_family(family: str, rank: int) -> tuple[TileGraph, ...]:
             _make_graph(family, rank, DoubleHexLayout((("P5", 1),), (), (), (("P1", 1),)))
         )
     else:
-        top = rank if family == "B" else rank - 1
+        top = max(nodes(family, rank))
         lone = (1,) if family == "B" else (1, -1)
         for index in lone:
             graphs.append(_make_graph(family, rank, LoneTrapezoidLayout(index)))
@@ -280,21 +259,20 @@ def enumerate_family(family: str, rank: int) -> tuple[TileGraph, ...]:
                 graphs.append(_make_graph(family, rank, HexBaseLayout(traps, tower)))
         for p in range(2, top + 1):
             for b in range(p + 1, top + 1):
-                graphs.append(_double_hex_graph(family, rank, p, b))
+                graphs.append(_double_hex_graph(family, rank, top, p, b))
     graphs.sort(key=lambda g: g.mu)
     return tuple(graphs)
 
 
-def _double_hex_graph(family: str, rank: int, p: int, b: int) -> TileGraph:
+def _double_hex_graph(family: str, rank: int, top: int, p: int, b: int) -> TileGraph:
     """The two-hexagon graph whose multiplicity vector is e_p + e_b.
 
     Lifted to the boundary-less family, the two towers end at odd tiles
     m_1 < m_2 (m_1 <= m_2 for D); the projection into rank n reflects any
     tower crossing the excision centre.  Exactly one of t and its mirror
     image is odd, so the lift heights are recovered from (p, b) and the
-    taller lift goes on the west hexagon.
+    taller lift goes on the west hexagon; ``top`` is the highest tile index.
     """
-    top = rank if family == "B" else rank - 1
     centre = top + 1
     lifts = {t: (t if t % 2 == 1 else 2 * centre - 1 - t) for t in (p, b)}
     t_left, t_right = (p, b) if lifts[p] > lifts[b] else (b, p)
@@ -443,7 +421,7 @@ def _attach_tower(
     for level, index in enumerate(indices, start=1):
         tile = tiles[index]
         if tile.shape != "square":
-            raise StructureError(f"tower tile T{index_label(index)} is not a square")
+            raise StructureError(f"tower tile T{node_label(index)} is not a square")
         new_left = f"{prefix}t{level}l"
         new_right = f"{prefix}t{level}r"
         builder.edge(left, new_left, tile.weight("W"))
@@ -464,7 +442,7 @@ def realize(tg: TileGraph) -> MatchingGraph:
 
     builder = _GraphBuilder(tg.rank, names)
     if isinstance(layout, LoneTrapezoidLayout):
-        label = f"T{index_label(layout.index)}"
+        label = f"T{node_label(layout.index)}"
         builder.edge(f"{label}.1", f"{label}.2", tiles[layout.index].weight("N"))
         builder.edge(f"{label}.2", f"{label}.3", None)
         builder.edge(f"{label}.3", f"{label}.4", None)
@@ -516,12 +494,12 @@ def _layout_gluings(layout: Layout) -> list[str]:
     if isinstance(layout, LoneTrapezoidLayout):
         return []
     if isinstance(layout, HexBaseLayout):
-        out = [f"T{index_label(i)}@{pos}~hex.{pos}" for pos, i in layout.traps]
+        out = [f"T{node_label(i)}@{pos}~hex.{pos}" for pos, i in layout.traps]
         out += tower_gluings("hex.P1", layout.tower, "tw")
         return sorted(out)
     if isinstance(layout, DoubleHexLayout):
-        out = [f"T{index_label(i)}@{pos}~hex1.{pos}" for pos, i in layout.west_traps]
-        out += [f"T{index_label(i)}@{pos}~hex2.{pos}" for pos, i in layout.east_traps]
+        out = [f"T{node_label(i)}@{pos}~hex1.{pos}" for pos, i in layout.west_traps]
+        out += [f"T{node_label(i)}@{pos}~hex2.{pos}" for pos, i in layout.east_traps]
         out += ["bridge(T1).W~hex1.P3", "bridge(T1).E~hex2.P5"]
         out += tower_gluings("hex1.P1", layout.left_tower, "twl")
         out += tower_gluings("hex2.P1", layout.right_tower, "twr")
@@ -530,8 +508,8 @@ def _layout_gluings(layout: Layout) -> list[str]:
 
 
 def tilegraph_to_json(tg: TileGraph) -> str:
-    catalogue = tile_set(tg.family, tg.rank)
-    tiles = [{"index": index_label(i), "shape": catalogue[i].shape} for i in tg.tile_multiset()]
+    tileset = tile_set(tg.family, tg.rank)
+    tiles = [{"index": node_label(i), "shape": tileset[i].shape} for i in _layout_tiles(tg.layout)]
     payload = {
         "tiles": tiles,
         "gluings": _layout_gluings(tg.layout),

@@ -122,3 +122,22 @@ def test_out_file(tmp_path, capsys):
     code = main(["roots", "--type", "A", "--rank", "2", "--format", "json", "--out", str(target)])
     assert code == 0
     assert json.loads(target.read_text()) == [[0, 1], [1, 0], [1, 1]]
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "roots.json"
+    code = main(["roots", "--type", "A", "--rank", "2", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_dot_dir_on_an_existing_file_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    code = main(["graphs", "--type", "A", "--rank", "2", "--dot-dir", str(blocker)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -11,6 +11,12 @@ The B_5 and D_6 entries were added later, recorded from the code before the
 graph builder gave both hexagons of a two-hexagon graph one code path.  Their
 highest roots are two-hexagon graphs with a tower on each half, so these
 entries pin the vertex names and weights of those graphs.
+
+The belt entries at A_1, B_2 and C_2 and the D_5 entries were added before
+every per-node convention (labels, sweep parity, exchange matrix, tile
+slots) came to be derived from one node table.  A_1 pins the blank line of
+its empty even initial row, B_2 and C_2 a double bond at rank 2, and D_5 an
+odd sweep holding 1, 1bar and 3.
 """
 
 from __future__ import annotations
@@ -120,6 +126,20 @@ STDOUT_DIGESTS = {
     "expand --type G2 --rank 2 --root 3,2 --format text": (0, "c648adfa3954541371bed6085823086933843ebf8832f50a609637f376e3ae9a"),
     "expand --type G2 --rank 2 --root 3,2 --format json": (0, "c4ea44db1d9ae9ea14e0fe55331255b66768c31ad84c5b64be00ea294ce3bb76"),
     "expand --type G2 --rank 2 --root 3,2 --format dot": (0, "e9bba9e0fedb06f0ba145860a4bf8a6ff77c0084860f996c1dedd22f6511a877"),
+    "belt --type A --rank 1 --format json": (0, "9ad1073d196f2343826ce5b2c65f502c6c01b3424f9b07c9959f46039ec02202"),
+    "belt --type A --rank 1 --format text": (0, "a14c2928acc888bd3c30b6d8099745ebd24019908b5fa0570a52c0120a6231d7"),
+    "belt --type B --rank 2 --format json": (0, "bbc7e86b7a4da27e53e81c7d4fb3ed688d1dbed075ded471ed6f7a0103cc74d2"),
+    "belt --type B --rank 2 --format text": (0, "9187f30dc77e878da8ab449e025bb2cec1d3860f2eacf90dc317b6804e898a88"),
+    "belt --type C --rank 2 --format json": (0, "5e44c92e814b6778a0bdd10d087e9210dbc2cfe4d038f68d1a992d845712813d"),
+    "belt --type C --rank 2 --format text": (0, "ba92732b7d2c21253dbf7764784a8b2dd6bf4449ab365f8b4fcf1bf6625e5953"),
+    "roots --type D --rank 5 --format json": (0, "09aa7a96adae6eaeca356263fdcfadbd03e5d6df4ca615757a0056858e181abd"),
+    "roots --type D --rank 5 --format text": (0, "966c821c86a0b4c412e609becaee1fe952f1a04649ab4841e8f83e8b57821f4d"),
+    "belt --type D --rank 5 --format json": (0, "e73a43014beff27fe04fe095f0c535c1c19296461f002972832d80effeffa811"),
+    "belt --type D --rank 5 --format text": (0, "1616436dd32d5a661b906f7c46741ce93a2cca4768c8f420215b6d37e8c1687b"),
+    "variables --type D --rank 5 --format json": (0, "e18c3bb847b78e45b10d154df429ced569e5070cde9d95bd069c454604f095c6"),
+    "variables --type D --rank 5 --format text": (0, "e88f8fb1f77c36d4871de0a8ce0d4a67f1e8fe1f1586bd143844ffaff5014de9"),
+    "graphs --type D --rank 5 --format json": (0, "b87f3ab4348de3b1f8f0308f62f41331c955d7eb29e6aab3a6297653edb00db7"),
+    "graphs --type D --rank 5 --format text": (0, "50cac5221830d969706eb67140d2da9e9d0230ffa65c6d3081f59fb954160a8f"),
 }
 DOT_DIR_DIGESTS = {
     "A3": (0, "b9f6f2885398c4f0edead7c890efddb356118ebae1d0d5600d37e5815f4348fc"),

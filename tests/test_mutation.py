@@ -47,10 +47,30 @@ def test_initial_matrices_match_the_displayed_ones():
         (0, 1, 0, 1),
         (0, 0, -1, 0),
     )
+    assert exchange_matrix("A", 1) == ((0,),)
+    assert exchange_matrix("B", 2) == ((0, 1), (-2, 0))
+    assert exchange_matrix("C", 2) == ((0, 2), (-1, 0))
+    assert exchange_matrix("D", 5) == (
+        (0, 0, 1, 0, 0),
+        (0, 0, 1, 0, 0),
+        (-1, -1, 0, -1, 0),
+        (0, 0, 1, 0, 1),
+        (0, 0, 0, -1, 0),
+    )
+    assert exchange_matrix("D", 6) == (
+        (0, 0, 1, 0, 0, 0),
+        (0, 0, 1, 0, 0, 0),
+        (-1, -1, 0, -1, 0, 0),
+        (0, 0, 1, 0, 1, 0),
+        (0, 0, 0, -1, 0, -1),
+        (0, 0, 0, 0, 1, 0),
+    )
 
 
 def test_matrices_are_bipartite_and_skew_symmetrizable():
-    for family, rank in [("A", 5), ("B", 4), ("C", 4), ("D", 5), ("G2", 2)]:
+    ladder = [("A", r) for r in range(1, 11)] + [("B", r) for r in range(2, 11)]
+    ladder += [("C", r) for r in range(2, 11)] + [("D", r) for r in range(4, 11)]
+    for family, rank in ladder + [("G2", 2)]:
         matrix = ExchangeMatrix(exchange_matrix(family, rank))
         assert matrix.is_bipartite()
         d = matrix.skew_symmetrizer()
@@ -157,7 +177,7 @@ def test_sweep_order_within_a_group_does_not_matter():
 
 
 def test_full_odd_sweep_negates_the_matrix():
-    for family, rank in [("A", 4), ("B", 3), ("G2", 2), ("D", 4)]:
+    for family, rank in [("A", 4), ("B", 3), ("G2", 2), ("D", 4), ("D", 6)]:
         seed = initial_seed(family, rank)
         odd, even = parity_groups(family, rank)
         for k in odd:
