@@ -42,6 +42,16 @@ def _parse_root(text: str, rank: int) -> tuple[int, ...]:
     return coords
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
+    return value
+
+
 def _root_filename(family: str, rank: int, root: tuple[int, ...]) -> str:
     return f"{family}{rank}_" + "-".join(str(c) for c in root) + ".dot"
 
@@ -106,11 +116,12 @@ def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
     names = variable_names(args.type, args.rank)
     split = cluster_expansion(args.type, args.rank, root).split()
     if args.format == "json":
+        numerator = split.numerator.to_text(names)
         payload = {
             "root": list(root),
-            "numerator": split.numerator.to_text(names),
+            "numerator": numerator,
             "denominator": [int(d) for d in split.denominator],
-            "text": split.to_text(names),
+            "text": split.over_denominator(numerator, names),
         }
         return 0, json.dumps(payload, indent=2, sort_keys=True)
     return 0, split.to_text(names)
@@ -151,7 +162,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("roots", help="positive roots in simple-root coordinates"))
     p_belt = sub.add_parser("belt", help="belt lattice rows")
     common(p_belt)
-    p_belt.add_argument("--max-rows", type=int, default=None)
+    p_belt.add_argument(
+        "--max-rows",
+        type=_positive_int,
+        default=None,
+        help="cap on the mutation sweeps after the two initial rows (not on the printed "
+        "rows); fails if the sweeps have not covered every positive root by then",
+    )
     common(sub.add_parser("variables", help="all non-initial cluster variables keyed by root"))
     p_graphs = sub.add_parser("graphs", help="the family of tile graphs")
     common(p_graphs)

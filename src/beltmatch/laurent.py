@@ -525,7 +525,10 @@ class MonomialFactorization:
 
     def to_text(self, names: Sequence[str] | None = None) -> str:
         names = tuple(names) if names is not None else default_names(self.numerator.nvars)
-        numerator = self.numerator.to_text(names)
+        return self.over_denominator(self.numerator.to_text(names), names)
+
+    def over_denominator(self, numerator: str, names: Sequence[str]) -> str:
+        """``to_text`` given the numerator already rendered with ``names``."""
         factors = [
             name if d == 1 else f"{name}^{d}"
             for name, d in zip(names, self.denominator)

@@ -6,11 +6,14 @@ enumeration of all perfect matchings (no memo, also used to list matchings).
 They must agree bit-exactly on every family graph.  Strips additionally
 admit a transfer recurrence along the tiles, used as a third cross-check.
 
-Graphs here stay small (at most ~4n+6 vertices), so exact enumeration wins
-over anything asymptotically clever.
+Both number the vertices by a breadth-first walk of the graph itself, so
+elimination runs along the chain of tiles: on a strip the frontier of
+uncovered vertices stays at two, and the memo grows linearly with the strip.
 """
 
 from __future__ import annotations
+
+from collections import deque
 
 from .errors import BijectionError
 from .laurent import LaurentPolynomial
@@ -18,23 +21,53 @@ from .rootsys import RootVector
 from .tilegraphs import MatchingEdge, MatchingGraph, graph_for_root, realize
 
 
+def _elimination_order(graph: MatchingGraph) -> dict[str, int]:
+    """Number the vertices breadth-first along the graph's own edges.
+
+    The walk starts at the first edge's ``u`` and follows ``graph.edges`` in
+    their given order; every vertex it leaves unvisited (another component,
+    an isolated vertex) starts a fresh walk, in ``graph.vertices`` order.
+    """
+    neighbours: dict[str, list[str]] = {v: [] for v in graph.vertices}
+    for edge in graph.edges:
+        neighbours[edge.u].append(edge.v)
+        neighbours[edge.v].append(edge.u)
+    starts = [graph.edges[0].u] if graph.edges else []
+    order: dict[str, int] = {}
+    for start in starts + list(graph.vertices):
+        if start in order:
+            continue
+        order[start] = len(order)
+        queue = deque([start])
+        while queue:
+            for w in neighbours[queue.popleft()]:
+                if w not in order:
+                    order[w] = len(order)
+                    queue.append(w)
+    return order
+
+
+def _incidence(graph: MatchingGraph) -> list[list[tuple[int, MatchingEdge]]]:
+    """Per vertex in elimination order: (neighbour index, edge) pairs."""
+    order = _elimination_order(graph)
+    incident: list[list[tuple[int, MatchingEdge]]] = [[] for _ in order]
+    for edge in graph.edges:
+        iu, iv = order[edge.u], order[edge.v]
+        incident[iu].append((iv, edge))
+        incident[iv].append((iu, edge))
+    return incident
+
+
 def matching_polynomial(graph: MatchingGraph) -> LaurentPolynomial:
     """Sum over perfect matchings of the product of edge weights.
 
-    Recursive elimination of the lowest uncovered vertex, memoized on the
-    set of uncovered vertices; graphs with no perfect matching (in
-    particular any odd-vertex graph) yield the zero polynomial.
+    Recursive elimination of the lowest uncovered vertex in breadth-first
+    order, memoized on the set of uncovered vertices; graphs with no perfect
+    matching (in particular any odd-vertex graph) yield the zero polynomial.
     """
-    nvars = graph.nvars
-    order = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    m = len(order)
-    adjacency: list[list[tuple[int, LaurentPolynomial]]] = [[] for _ in range(m)]
-    for edge in graph.edges:
-        iu, iv = order[edge.u], order[edge.v]
-        adjacency[iu].append((iv, edge.weight))
-        adjacency[iv].append((iu, edge.weight))
-    one = LaurentPolynomial.one(nvars)
-    zero = LaurentPolynomial.zero(nvars)
+    incident = _incidence(graph)
+    one = LaurentPolynomial.one(graph.nvars)
+    zero = LaurentPolynomial.zero(graph.nvars)
     memo: dict[int, LaurentPolynomial] = {}
 
     def eliminate(uncovered: int) -> LaurentPolynomial:
@@ -46,24 +79,18 @@ def matching_polynomial(graph: MatchingGraph) -> LaurentPolynomial:
         v = (uncovered & -uncovered).bit_length() - 1
         total = zero
         rest = uncovered & ~(1 << v)
-        for w, weight in adjacency[v]:
+        for w, edge in incident[v]:
             if rest & (1 << w):
-                total = total + weight * eliminate(rest & ~(1 << w))
+                total = total + edge.weight * eliminate(rest & ~(1 << w))
         memo[uncovered] = total
         return total
 
-    return eliminate((1 << m) - 1)
+    return eliminate((1 << len(incident)) - 1)
 
 
 def perfect_matchings(graph: MatchingGraph) -> tuple[tuple[MatchingEdge, ...], ...]:
-    """Every perfect matching, as a tuple of edges; deterministic order."""
-    order = {v: i for i, v in enumerate(sorted(graph.vertices))}
-    m = len(order)
-    incident: list[list[tuple[int, MatchingEdge]]] = [[] for _ in range(m)]
-    for edge in sorted(graph.edges, key=lambda e: e.key()):
-        iu, iv = order[edge.u], order[edge.v]
-        incident[iu].append((iv, edge))
-        incident[iv].append((iu, edge))
+    """Every perfect matching, as a tuple of edges; deterministic for a given graph."""
+    incident = _incidence(graph)
     out: list[tuple[MatchingEdge, ...]] = []
     chosen: list[MatchingEdge] = []
 
@@ -79,7 +106,7 @@ def perfect_matchings(graph: MatchingGraph) -> tuple[tuple[MatchingEdge, ...], .
                 extend(rest & ~(1 << w))
                 chosen.pop()
 
-    extend((1 << m) - 1)
+    extend((1 << len(incident)) - 1)
     return tuple(out)
 
 

@@ -81,6 +81,33 @@ def test_belt_json(capsys):
     assert payload["rows"][0][0]["poly"] == "x1"
 
 
+def test_belt_max_rows_below_one_is_a_usage_error(capsys):
+    for value in ("0", "-1"):
+        code = main(["belt", "--type", "A", "--rank", "3", "--max-rows", value, "--format", "text"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--max-rows" in captured.err
+
+
+def test_belt_max_rows_counts_sweeps_not_printed_rows(capsys):
+    # Four sweeps after the two initial rows: six printed lines.
+    code, out = run(capsys, "belt", "--type", "A", "--rank", "3", "--max-rows", "4", "--format", "text")
+    assert code == 0
+    assert len(out.splitlines()) == 6
+
+
+def test_expand_json_text_matches_text_format(capsys):
+    argv = ("expand", "--type", "B", "--rank", "4", "--root", "2,2,1,1")
+    code, text = run(capsys, *argv, "--format", "text")
+    assert code == 0
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["text"] == text.rstrip("\n")
+    assert payload["text"].startswith(f"({payload['numerator']}) / ")
+
+
 def test_variables_text(capsys):
     code, out = run(capsys, "variables", "--type", "A", "--rank", "2", "--format", "text")
     assert code == 0

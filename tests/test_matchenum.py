@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from beltmatch.laurent import LaurentPolynomial as LP
@@ -14,7 +16,14 @@ from beltmatch.matchenum import (
 )
 from beltmatch.mutation import exchange_matrix, variable_names
 from beltmatch.rootsys import CartanSpec, positive_roots
-from beltmatch.tilegraphs import MatchingGraph, enumerate_family, graph_for_root, realize, strip_graph
+from beltmatch.tilegraphs import (
+    MatchingEdge,
+    MatchingGraph,
+    enumerate_family,
+    graph_for_root,
+    realize,
+    strip_graph,
+)
 
 
 def poly(text: str, family: str, rank: int) -> LP:
@@ -141,3 +150,59 @@ def test_every_root_has_at_least_one_matching():
     roots = positive_roots(CartanSpec.from_exchange("D", 4, exchange_matrix("D", 4)))
     for root in roots:
         assert len(perfect_matchings(realize(graph_for_root("D", 4, root)))) >= 1
+
+
+def test_sixty_tile_unit_strip_is_fibonacci():
+    # F(62) perfect matchings.  Eliminating along the strip keeps two
+    # vertices on the frontier; an order that jumps between tiles (sorted
+    # names put u10..u19 between u1 and u2) blows the memo up exponentially.
+    one = LP.one(1)
+    g = strip_graph([(one, one)] * 60, 1, ("y",))
+    assert matching_polynomial(g) == LP.constant(4_052_739_537_881, 1)
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [("A", 6), ("B", 5), ("C", 5), ("D", 6), ("G2", 2)],
+)
+def test_vertex_and_edge_order_do_not_change_the_result(family, rank):
+    rng = random.Random(2007)
+    for graph in enumerate_family(family, rank):
+        g = realize(graph)
+        shuffled = MatchingGraph(
+            g.nvars,
+            g.names,
+            tuple(rng.sample(g.vertices, len(g.vertices))),
+            tuple(rng.sample(g.edges, len(g.edges))),
+        )
+        assert matching_polynomial(shuffled) == matching_polynomial(g)
+        assert len(perfect_matchings(shuffled)) == len(perfect_matchings(g))
+
+
+def _renamed(graph: MatchingGraph, prefix: str) -> MatchingGraph:
+    return MatchingGraph(
+        graph.nvars,
+        graph.names,
+        tuple(prefix + v for v in graph.vertices),
+        tuple(MatchingEdge(prefix + e.u, prefix + e.v, e.weight) for e in graph.edges),
+    )
+
+
+def test_disconnected_strips_multiply():
+    names = ("x1", "x2")
+    left = strip_graph([(0, None), (None, 1)], 2, names)
+    right = _renamed(strip_graph([(1, 0), (0, None), (None, None)], 2, names), "r")
+    union = MatchingGraph(2, names, left.vertices + right.vertices, left.edges + right.edges)
+    assert matching_polynomial(union) == matching_polynomial(left) * matching_polynomial(right)
+    assert len(perfect_matchings(union)) == len(perfect_matchings(left)) * len(perfect_matchings(right))
+
+
+def test_isolated_vertex_leaves_no_perfect_matching():
+    one = LP.one(1)
+    g = strip_graph([(one, one)] * 2, 1, ("y",))
+    lonely = MatchingGraph(1, ("y",), ("z",) + g.vertices + ("w",), g.edges)
+    assert matching_polynomial(lonely).is_zero
+    assert perfect_matchings(lonely) == ()
+    edgeless = MatchingGraph(1, ("y",), ("a", "b"), ())
+    assert matching_polynomial(edgeless).is_zero
+    assert matching_polynomial(MatchingGraph(1, ("y",), (), ())) == one
