@@ -3,9 +3,9 @@
 Subcommands: roots, belt, variables, graphs, expand, verify.  JSON is the
 primary output format; the text format renders the same data.  All output
 is deterministic (terms and records sorted canonically).  ``verify --jobs N``
-is accepted for compatibility only: checks always run one at a time, so N
-changes nothing.  Exit codes: 0 success / all checks pass, 1 a
-verification check failed, 2 usage error or an unwritable output path.
+(N >= 1) is accepted for compatibility only: checks always run one at a
+time, so N changes nothing.  Exit codes: 0 success / all checks pass, 1 a
+verification check failed or raised, 2 usage error or an unwritable output path.
 """
 
 from __future__ import annotations
@@ -136,7 +136,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     for result in report.merged():
         status = "PASS" if result.passed else "FAIL"
         note = ""
-        if "roots_checked" in result.details:
+        if "error" in result.details:
+            note = " " + result.details["error"]
+        elif "roots_checked" in result.details:
             note = f" ({result.details['roots_checked']} roots checked)"
         elif "counterexample" in result.details:
             note = " " + json.dumps(result.details["counterexample"], sort_keys=True)
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument(
         "--jobs",
-        type=int,
+        type=_positive_int,
         default=1,
         help="accepted for compatibility; checks always run one at a time",
     )

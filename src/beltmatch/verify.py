@@ -4,12 +4,15 @@ Each check evaluates an exact polynomial identity and returns a CheckResult;
 a VerificationReport aggregates them.  Checks never raise on a failed
 identity -- they report a minimal counterexample instead (the root or
 parameters involved, both polynomials, and their difference), so a
-convention bug is diagnosable in one run.
+convention bug is diagnosable in one run.  A check that raises is a failed
+check whose details carry the exception.
 
 The extended-lattice checks work over signed variables y_i with y_1 = 1,
 y_{-1} = -1, the sign rule y_{-i} = -y_i, and a symbolic y_0.  Limits
 y_0 -> 0 are taken by exact division first and substitution second, never
-numerically, since setting y_0 = 0 too early produces 0/0.
+numerically, since setting y_0 = 0 too early produces 0/0.  The B_n tower
+reflection is checked on the same lattice, read from the other end
+(x_m = y_{n+2-m}).
 """
 
 from __future__ import annotations
@@ -62,7 +65,10 @@ class VerificationReport:
 
 def _timed(name: str, run: Callable[[], tuple[bool, dict]]) -> CheckResult:
     start = time.perf_counter()
-    passed, details = run()
+    try:
+        passed, details = run()
+    except Exception as exc:
+        passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
     return CheckResult(name, passed, details, time.perf_counter() - start)
 
 
@@ -128,7 +134,6 @@ class ExtendedLatticeConfig:
     """
 
     max_index: int
-    vanishing_slot = 0  # y_0
 
     @property
     def nvars(self) -> int:
@@ -151,19 +156,15 @@ class ExtendedLatticeConfig:
         return value if m >= 0 else -value
 
 
-def tile_strip(
-    config: ExtendedLatticeConfig | BExtendedConfig, lo: int, hi: int
-) -> MatchingGraph:
+def tile_strip(config: ExtendedLatticeConfig, lo: int, hi: int) -> MatchingGraph:
     """The grid graph of tiles lo..hi: tile i has north weight(i+1) and south weight(i-1)."""
     pairs = [(config.weight(i + 1), config.weight(i - 1)) for i in range(lo, hi + 1)]
     return strip_graph(pairs, config.nvars, config.names)
 
 
-def strip_limit(
-    config: ExtendedLatticeConfig | BExtendedConfig, lo: int, hi: int
-) -> LaurentPolynomial:
-    """P(tiles lo..hi) divided exactly by the tile monomial, then the config's
-    vanishing slot sent to 0 (the exact limit); the empty strip is 1."""
+def strip_limit(config: ExtendedLatticeConfig, lo: int, hi: int) -> LaurentPolynomial:
+    """P(tiles lo..hi) divided exactly by the tile monomial, then y_0 sent
+    to 0 (the exact limit); the empty strip is 1."""
     one = LaurentPolynomial.one(config.nvars)
     if lo > hi:
         return one
@@ -171,7 +172,7 @@ def strip_limit(
     for i in range(lo, hi + 1):
         monomial = monomial * config.weight(i)
     quotient = matching_polynomial(tile_strip(config, lo, hi)).div_exact(monomial)
-    return quotient.substitute({config.vanishing_slot: LaurentPolynomial.zero(config.nvars)})
+    return quotient.substitute({0: LaurentPolynomial.zero(config.nvars)})
 
 
 # -- condensation -------------------------------------------------------------------
@@ -264,88 +265,51 @@ def check_center_one(j: int, parity: str) -> CheckResult:
 # -- excision -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BExtendedConfig:
-    """B-boundary substitution for towers: x_{n+1} = 1, x_{n+2} symbolic and
-    sent to 0, and the mirror rule x_{n+2+k} = -x_{n+2-k} beyond.
-
-    Ambient slots 0..n-1 hold x_1..x_n; slot n holds the vanishing variable.
-    """
-
-    n: int
-
-    @property
-    def nvars(self) -> int:
-        return self.n + 1
-
-    @property
-    def vanishing_slot(self) -> int:
-        return self.n  # x_{n+2}
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(f"x{i}" for i in range(1, self.n + 1)) + ("x0",)
-
-    def weight(self, m: int) -> LaurentPolynomial:
-        if m <= 0:
-            raise ValueError(f"tower variable index {m} out of range")
-        if m <= self.n:
-            return LaurentPolynomial.variable(m - 1, self.nvars)
-        if m == self.n + 1:
-            return LaurentPolynomial.one(self.nvars)
-        if m == self.n + 2:
-            return LaurentPolynomial.variable(self.n, self.nvars)
-        return -self.weight(2 * (self.n + 2) - m)
-
-
 def check_excision(scenario: tuple) -> CheckResult:
-    """Excision invariance.
+    """Excision invariance: tiles L..H and tiles 3-L..H of the extended
+    lattice give the same Laurent polynomial, the block L..2-L centred on
+    tile 1 being excised.
 
-    ``("A", j, k)``: the strip of tiles 2-j..j+k (which contains tile 1 in
-    the middle of an odd block) bijects to the same Laurent polynomial as
-    tiles j+1..j+k.
+    ``("A", j, k)``: L = 2-j, H = j+k, so tiles 2-j..j+k (tile 1 in the
+    middle of an odd block) against tiles j+1..j+k.
 
-    ``("B", n, a, b)``: the rank-n boundary reflection of towers.  The
-    check uses the reflection b -> 2n+1-b, which is what the machinery
-    (centred excision at T_{n+1}) actually produces; whether the written
-    reflection b -> 2n+2-b also holds is recorded in the details, so the
-    discrepancy between the two readings is decided empirically.
+    ``("B", n, a, b)``: the rank-n boundary reflection of the tower T_a..T_b.
+    Its variables are the lattice read from the other end, x_m = y_{n+2-m}:
+    x_{n+1} = y_1 = 1, x_{n+2} = y_0 is sent to 0, and the mirror rule
+    x_{n+2+k} = -x_{n+2-k} is y_{-k} = -y_k.  The tower is the window
+    L = n+2-b, H = n+2-a, and the reflection b -> 2n+1-b that the machinery
+    (centred excision at T_{n+1}) produces is the window 3-L..H.  Whether
+    the printed reflection b -> 2n+2-b, the window 2-L..H, also holds is
+    recorded in the details, so the discrepancy is decided empirically.
     """
 
     def run() -> tuple[bool, dict]:
         kind = scenario[0]
         if kind == "A":
             _, j, k = scenario
-            config = ExtendedLatticeConfig(max_index=j + k + 1)
-            whole = strip_limit(config, 2 - j, j + k)
-            excised = strip_limit(config, j + 1, j + k)
+            low, high = 2 - j, j + k
             details: dict = {"scenario": ["A", j, k], "tiles": 2 * j + k - 1}
-            if whole != excised:
-                details["counterexample"] = {
-                    "whole": whole.to_text(config.names),
-                    "excised": excised.to_text(config.names),
-                }
-                return False, details
-            return True, details
-        if kind == "B":
+        elif kind == "B":
             _, n, a, b = scenario
-            config = BExtendedConfig(n)
-            lhs = strip_limit(config, a, b)
-            reflected = strip_limit(config, a, 2 * n + 1 - b)
+            low, high = n + 2 - b, n + 2 - a
             details = {"scenario": ["B", n, a, b], "reflection": [a, 2 * n + 1 - b]}
+        else:
+            raise ValueError(f"unknown excision scenario {scenario!r}")
+        config = ExtendedLatticeConfig(max_index=high + 1)
+        whole = strip_limit(config, low, high)
+        excised = strip_limit(config, 3 - low, high)
+        if kind == "B":
             try:
-                printed = strip_limit(config, a, 2 * n + 2 - b)
-                details["printed_formula_matches"] = bool(lhs == printed)
+                details["printed_formula_matches"] = whole == strip_limit(config, 2 - low, high)
             except PoleError:
                 details["printed_formula_matches"] = False
-            if lhs != reflected:
-                details["counterexample"] = {
-                    "tower": lhs.to_text(config.names),
-                    "reflected": reflected.to_text(config.names),
-                }
-                return False, details
-            return True, details
-        raise ValueError(f"unknown excision scenario {scenario!r}")
+        if whole != excised:
+            details["counterexample"] = {
+                "whole": whole.to_text(config.names),
+                "excised": excised.to_text(config.names),
+            }
+            return False, details
+        return True, details
 
     tag = ",".join(str(x) for x in scenario)
     return _timed(f"excision[{tag}]", run)
@@ -355,33 +319,13 @@ def check_excision(scenario: tuple) -> CheckResult:
 
 
 def folding_assignment_a_to_c(n: int) -> dict[int, LaurentPolynomial]:
-    """Variable identification folding A_{2n-1} onto C_n (slots are 0-based)."""
-    target = n
-
-    def var(slot: int) -> LaurentPolynomial:
-        return LaurentPolynomial.variable(slot, target)
-
-    assignment: dict[int, LaurentPolynomial] = {}
-    for k in range(1, 2 * n):
-        if k < n:
-            assignment[k - 1] = var(n - k)
-        elif k == n:
-            assignment[k - 1] = var(0)
-        else:
-            assignment[k - 1] = var(k - n)
-    return assignment
+    """Fold A_{2n-1} onto C_n: x_k and x_{2n-k} both become x_{|n-k|+1} of C_n."""
+    return {s: LaurentPolynomial.variable(abs(n - 1 - s), n) for s in range(2 * n - 1)}
 
 
 def folding_assignment_d_to_b(n: int) -> dict[int, LaurentPolynomial]:
     """Identify x_1bar with x_1, folding D_n onto B_{n-1}."""
-    target = n - 1
-    assignment: dict[int, LaurentPolynomial] = {
-        0: LaurentPolynomial.variable(0, target),
-        1: LaurentPolynomial.variable(0, target),
-    }
-    for k in range(2, n):
-        assignment[k] = LaurentPolynomial.variable(k - 1, target)
-    return assignment
+    return {s: LaurentPolynomial.variable(max(s - 1, 0), n - 1) for s in range(n)}
 
 
 def check_folding(direction: str, n: int) -> CheckResult:

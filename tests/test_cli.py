@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from beltmatch.cli import main
+from beltmatch.errors import BijectionError, StructureError
 
 
 def run(capsys, *argv):
@@ -168,3 +171,29 @@ def test_dot_dir_on_an_existing_file_is_a_usage_error(tmp_path, capsys):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out = run(capsys, "verify", "--type", "A", "--rank", "3", "--jobs", jobs, "--format", "text")
+    assert code == 2
+    assert out == ""
+
+
+@pytest.mark.parametrize("error", [StructureError, BijectionError])
+def test_check_that_raises_is_a_fail_record(capsys, monkeypatch, error):
+    def broken(*args):
+        raise error("malformed gluing")
+
+    monkeypatch.setattr("beltmatch.verify.cluster_expansion", broken)
+    message = f"{error.__name__}: malformed gluing"
+    code, out = run(capsys, "verify", "--type", "A", "--rank", "3", "--checks", "theorem", "--format", "json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["passed"] is False
+    assert payload["checks"] == [
+        {"name": "theorem[A3]", "passed": False, "details": {"error": message}}
+    ]
+    code, out = run(capsys, "verify", "--type", "A", "--rank", "3", "--checks", "theorem", "--format", "text")
+    assert code == 1
+    assert out.splitlines() == [f"FAIL theorem[A3] {message}", "some checks FAILED"]

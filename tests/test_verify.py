@@ -10,7 +10,7 @@ from beltmatch.laurent import LaurentPolynomial as LP
 from beltmatch.matchenum import matching_polynomial
 from beltmatch.mutation import noninitial_variables, variable_names
 from beltmatch.verify import (
-    BExtendedConfig,
+    EXCISION_B_GRID,
     ExtendedLatticeConfig,
     check_belt_diamonds,
     check_center_one,
@@ -86,30 +86,37 @@ def test_excision_b_reflections_and_the_recorded_discrepancy():
     # The excision machinery reflects b to 2n+1-b.  The printed formula
     # (2n+2-b) only agrees at its fixed point b = n+1; elsewhere the check
     # records that it does not hold, deciding the open question empirically.
-    fixed = check_excision(("B", 3, 3, 4))
-    assert fixed.passed and fixed.details["printed_formula_matches"] is True
-    moved = check_excision(("B", 3, 3, 5))
-    assert moved.passed and moved.details["printed_formula_matches"] is False
-    for n in (3, 4):
-        for a in (3, 4):
-            if a > n:
-                continue
-            for b in range(n + 1, 2 * n - (a - 2) + 1):
-                result = check_excision(("B", n, a, b))
-                assert result.passed, result.details
+    expected = {
+        ("B", 3, 3, 4): ([3, 3], True),
+        ("B", 3, 3, 5): ([3, 2], False),
+        ("B", 4, 3, 5): ([3, 4], True),
+        ("B", 4, 3, 6): ([3, 3], False),
+        ("B", 4, 3, 7): ([3, 2], False),
+        ("B", 4, 4, 5): ([4, 4], True),
+        ("B", 4, 4, 6): ([4, 3], False),
+    }
+    assert tuple(expected) == EXCISION_B_GRID
+    for scenario, (reflection, printed) in expected.items():
+        result = check_excision(scenario)
+        assert result.passed, result.details
+        assert result.details["reflection"] == reflection
+        assert result.details["printed_formula_matches"] is printed
 
 
 def test_b_extended_tower_reduces_to_plain_tower():
-    # T_3 u T_4 u T_5 at rank 4 excises to T_3 u T_4; at rank 3 it is centred
-    # on the excision tile and collapses to the Laurent polynomial 1.
-    config4 = BExtendedConfig(4)
-    assert strip_limit(config4, 3, 5) == strip_limit(config4, 3, 4)
-    config3 = BExtendedConfig(3)
-    assert strip_limit(config3, 3, 5) == LP.one(config3.nvars)
+    # Read from the other end (x_m = y_{n+2-m}), T_3 u T_4 u T_5 at rank 4 is
+    # tiles 1..3 and excises to T_3 u T_4, tiles 2..3; at rank 3 it is tiles
+    # 0..2, centred on the excision tile, and collapses to the Laurent
+    # polynomial 1.
+    config4 = ExtendedLatticeConfig(max_index=4)
+    assert strip_limit(config4, 1, 3) == strip_limit(config4, 2, 3)
+    config3 = ExtendedLatticeConfig(max_index=3)
+    assert strip_limit(config3, 0, 2) == LP.one(config3.nvars)
 
 
 def test_folding_checks():
-    for direction, n in [("A->C", 2), ("A->C", 3), ("D->B", 4), ("D->B", 5)]:
+    cases = [("A->C", 2), ("A->C", 3), ("A->C", 5), ("D->B", 4), ("D->B", 5), ("D->B", 6)]
+    for direction, n in cases:
         result = check_folding(direction, n)
         assert result.passed, result.details
 
