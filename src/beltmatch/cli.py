@@ -27,7 +27,7 @@ from .mutation import (
     variable_names,
 )
 from .tilegraphs import enumerate_family, graph_for_root, realize, tilegraph_to_json, to_dot
-from .verify import run_checks
+from .verify import CHECK_NAMES, run_checks
 
 USAGE_ERROR = 2
 
@@ -129,6 +129,9 @@ def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     checks = [part.strip() for part in args.checks.split(",") if part.strip()]
+    unknown = set(checks) - set(CHECK_NAMES) - {"all"}
+    if unknown:
+        raise argparse.ArgumentTypeError(f"unknown checks: {sorted(unknown)}")
     report = run_checks(args.type, args.rank, checks)
     if args.format == "json":
         return (0 if report.passed else 1), report.to_json()
@@ -220,7 +223,6 @@ def main(argv: list[str] | None = None) -> int:
         BijectionError,
         IterationLimitError,
         argparse.ArgumentTypeError,
-        ValueError,
         OSError,  # an unwritable --out or --dot-dir path
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ import struct
 from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
-from operator import add, index, sub
+from operator import add, getitem, index, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, ExponentOverflowError, InexactDivisionError, PoleError
@@ -147,7 +147,7 @@ class LaurentPolynomial:
 
     @classmethod
     def constant(cls, value: int, nvars: int) -> LaurentPolynomial:
-        return cls({(0,) * nvars: value}, nvars)
+        return cls.monomial(value, (0,) * nvars)
 
     @classmethod
     def one(cls, nvars: int) -> LaurentPolynomial:
@@ -159,11 +159,15 @@ class LaurentPolynomial:
             raise DimensionMismatchError(f"variable slot {slot} out of range for {nvars} variables")
         exps = [0] * nvars
         exps[slot] = 1
-        return cls({tuple(exps): 1}, nvars)
+        return cls.monomial(1, exps)
 
     @classmethod
     def monomial(cls, coeff: int, exps: Sequence[int]) -> LaurentPolynomial:
-        return cls({tuple(exps): coeff}, len(exps))
+        exps = tuple(exps)
+        poly = cls({exps: coeff}, len(exps))
+        if coeff:
+            poly._mins = tuple(map(index, exps))
+        return poly
 
     # -- basic queries -----------------------------------------------------
 
@@ -228,18 +232,29 @@ class LaurentPolynomial:
 
     def __add__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         self._check_same_ring(other)
-        big, small = self._terms, other._terms
-        if len(big) < len(small):
+        big, small = self, other
+        if len(big._terms) < len(small._terms):
             big, small = small, big
-        out = dict(big)
+        out = dict(big._terms)
         get = out.get
-        for key, coeff in small.items():
+        cancelled = False
+        for key, coeff in small._terms.items():
             new = get(key, 0) + coeff
             if new:
                 out[key] = new
             else:
                 del out[key]
-        return LaurentPolynomial._adopt(out, self.nvars)
+                cancelled = True
+        # Unless a key cancelled, the sum's keys are the union of the
+        # operands' keys, so its minimum exponents are the componentwise
+        # minimum.  An operand with no terms contributes none: the all-zero
+        # min_exponents() of the zero polynomial is a convention, not a minimum.
+        mins = None
+        if not small._terms:
+            mins = big._mins
+        elif not cancelled and big._mins is not None and small._mins is not None:
+            mins = tuple(map(min, big._mins, small._mins))
+        return LaurentPolynomial._adopt(out, self.nvars, mins)
 
     def __neg__(self) -> LaurentPolynomial:
         return LaurentPolynomial._adopt(
@@ -436,28 +451,25 @@ class LaurentPolynomial:
     # -- text form -------------------------------------------------------------
 
     def to_text(self, names: Sequence[str] | None = None) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         names = tuple(names) if names is not None else default_names(self.nvars)
-        rendered: list[tuple[str, str]] = []
-        for exps, coeff in self.terms():
-            factors = [
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(names, exps)
-                if e != 0
-            ]
+        tables = [_Factors(name) for name in names]
+        unpack = _unpacker(self.nvars)
+        pieces: list[str] = []
+        for key in sorted(terms, reverse=True):
+            coeff = terms[key]
             magnitude = abs(coeff)
-            if not factors:
+            body = _monomial_text(tables, unpack(key))
+            if not body:
                 body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
-            else:
-                body = str(magnitude) + "*" + "*".join(factors)
-            rendered.append(("-" if coeff < 0 else "+", body))
-        sign, body = rendered[0]
-        pieces = [body if sign == "+" else "-" + body]
-        for sign, body in rendered[1:]:
-            pieces.append(f" {sign} {body}")
+            elif magnitude != 1:
+                body = f"{magnitude}*{body}"
+            pieces.append((" - " if coeff < 0 else " + ") + body)
+        # The first term keeps only its sign, and only a minus.
+        head = pieces[0]
+        pieces[0] = head[3:] if head[1] == "+" else "-" + head[3:]
         return "".join(pieces)
 
     @classmethod
@@ -489,6 +501,26 @@ class LaurentPolynomial:
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
         return cls(terms, nvars)
+
+
+class _Factors(dict):
+    """Exponent -> factor string of one variable: ``""`` for 0, the name for
+    1 and ``name^e`` otherwise, each built the first time it is asked for."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        super().__init__({0: "", 1: name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        text = self[e] = f"{self.name}^{e}"
+        return text
+
+
+def _monomial_text(tables: Sequence[_Factors], exps: Iterable[int]) -> str:
+    """The ``*``-joined factors of a monomial; ``""`` for the constant one."""
+    return "*".join(filter(None, map(getitem, tables, exps)))
 
 
 def _split_terms(text: str) -> Iterable[tuple[int, str]]:
@@ -529,13 +561,9 @@ class MonomialFactorization:
 
     def over_denominator(self, numerator: str, names: Sequence[str]) -> str:
         """``to_text`` given the numerator already rendered with ``names``."""
-        factors = [
-            name if d == 1 else f"{name}^{d}"
-            for name, d in zip(names, self.denominator)
-            if d != 0
-        ]
-        if not factors:
+        denominator = _monomial_text([_Factors(name) for name in names], self.denominator)
+        if not denominator:
             return numerator
         if len(self.numerator) > 1:
             numerator = f"({numerator})"
-        return f"{numerator} / " + "*".join(factors)
+        return f"{numerator} / {denominator}"

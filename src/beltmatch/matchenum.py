@@ -1,14 +1,16 @@
 """Perfect-matching enumeration and the matching-expansion route.
 
 Two independent algorithms compute the weighted matching polynomial: a
-memoized recursive vertex elimination (the workhorse) and a plain exhaustive
-enumeration of all perfect matchings (no memo, also used to list matchings).
-They must agree bit-exactly on every family graph.  Strips additionally
-admit a transfer recurrence along the tiles, used as a third cross-check.
+forward vertex elimination that keeps only the live frontier (the workhorse)
+and a plain exhaustive enumeration of all perfect matchings (also used to
+list matchings).  They must agree bit-exactly on every family graph.  Strips
+additionally admit a transfer recurrence along the tiles, used as a third
+cross-check.
 
 Both number the vertices by a breadth-first walk of the graph itself, so
 elimination runs along the chain of tiles: on a strip the frontier of
-uncovered vertices stays at two, and the memo grows linearly with the strip.
+uncovered vertices stays at two, so the forward pass holds a few states at
+a time however long the strip is.
 """
 
 from __future__ import annotations
@@ -61,31 +63,32 @@ def _incidence(graph: MatchingGraph) -> list[list[tuple[int, MatchingEdge]]]:
 def matching_polynomial(graph: MatchingGraph) -> LaurentPolynomial:
     """Sum over perfect matchings of the product of edge weights.
 
-    Recursive elimination of the lowest uncovered vertex in breadth-first
-    order, memoized on the set of uncovered vertices; graphs with no perfect
-    matching (in particular any odd-vertex graph) yield the zero polynomial.
+    One forward pass over the vertices in breadth-first order.  ``states``
+    maps each set of uncovered vertices (a bitmask) to the weight sum of the
+    partial matchings that leave exactly it; before step ``v`` every vertex
+    below ``v`` is covered.  At step ``v`` a state that already covers ``v``
+    carries over, and any other matches ``v`` to each later uncovered
+    neighbour.  Only the current step's states are kept, and the answer is
+    the weight of the empty set; graphs with no perfect matching (in
+    particular any odd-vertex graph) yield the zero polynomial.
     """
     incident = _incidence(graph)
-    one = LaurentPolynomial.one(graph.nvars)
-    zero = LaurentPolynomial.zero(graph.nvars)
-    memo: dict[int, LaurentPolynomial] = {}
-
-    def eliminate(uncovered: int) -> LaurentPolynomial:
-        if uncovered == 0:
-            return one
-        cached = memo.get(uncovered)
-        if cached is not None:
-            return cached
-        v = (uncovered & -uncovered).bit_length() - 1
-        total = zero
-        rest = uncovered & ~(1 << v)
-        for w, edge in incident[v]:
-            if rest & (1 << w):
-                total = total + edge.weight * eliminate(rest & ~(1 << w))
-        memo[uncovered] = total
-        return total
-
-    return eliminate((1 << len(incident)) - 1)
+    states = {(1 << len(incident)) - 1: LaurentPolynomial.one(graph.nvars)}
+    for v, edges in enumerate(incident):
+        bit = 1 << v
+        later = [(1 << w, edge.weight) for w, edge in edges if w > v]
+        step: dict[int, LaurentPolynomial] = {}
+        for uncovered, weight in states.items():
+            if not uncovered & bit:
+                moves = [(uncovered, weight)]
+            else:
+                rest = uncovered ^ bit
+                moves = [(rest ^ w_bit, w_weight * weight) for w_bit, w_weight in later if rest & w_bit]
+            for key, term in moves:
+                old = step.get(key)
+                step[key] = term if old is None else old + term
+        states = step
+    return states.get(0, LaurentPolynomial.zero(graph.nvars))
 
 
 def perfect_matchings(graph: MatchingGraph) -> tuple[tuple[MatchingEdge, ...], ...]:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from beltmatch.cli import main
-from beltmatch.errors import BijectionError, StructureError
+from beltmatch.errors import BijectionError, DimensionMismatchError, StructureError
 
 
 def run(capsys, *argv):
@@ -178,6 +178,26 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     code, out = run(capsys, "verify", "--type", "A", "--rank", "3", "--jobs", jobs, "--format", "text")
     assert code == 2
     assert out == ""
+
+
+def test_verify_unknown_check_is_a_usage_error(capsys):
+    code = main(["verify", "--type", "A", "--rank", "3", "--checks", "theorem,bogus", "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: unknown checks: ['bogus']\n"
+
+
+def test_core_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    # DimensionMismatchError is a ValueError raised by the arithmetic core: a
+    # crash, which must not pass for a usage error (exit 2).
+    def broken(*args):
+        raise DimensionMismatchError("operands have 2 and 3 variables")
+
+    monkeypatch.setattr("beltmatch.cli.cluster_expansion", broken)
+    with pytest.raises(DimensionMismatchError, match="2 and 3 variables"):
+        main(["expand", "--type", "A", "--rank", "2", "--root", "1,0"])
+    assert capsys.readouterr().out == ""
 
 
 @pytest.mark.parametrize("error", [StructureError, BijectionError])

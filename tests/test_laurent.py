@@ -237,15 +237,44 @@ def test_text_roundtrip(p):
     assert LP.parse(p.to_text(), 3) == p
 
 
-@given(polys())
-def test_min_exponents_memo_matches_a_fresh_scan(p):
-    # Products, quotients and split numerators carry their minimum exponents
-    # over from the operands instead of scanning; both must agree.
+@given(polys(), polys())
+@example(LP.zero(3), LP.zero(3))
+@example(parse3("x1^-2 + x3"), parse3("x2 - x1^-2"))  # the cancelled key held the minimum
+def test_min_exponents_memo_matches_a_fresh_scan(p, r):
+    # Constructors, sums, products, quotients and split numerators carry
+    # their minimum exponents over from the operands instead of scanning;
+    # both must agree.
     q = LP.parse("x1^-1*x2 + x3^2", 3)
     p.min_exponents()
     q.min_exponents()
-    for poly in (p, p * q, (p * q).div_exact(q), p * LP.monomial(-1, (2, -3, 1))):
+    r.min_exponents()
+    zero = LP.zero(3)
+    zero.min_exponents()  # the all-zero convention must not pass as a minimum
+    candidates = [
+        p,
+        p * q,
+        (p * q).div_exact(q),
+        p * LP.monomial(-1, (2, -3, 1)),
+        p + r,
+        r + p,
+        p + q,
+        p + (-p) + q,
+        zero + p,
+        p + zero,
+        zero + r,
+        p - r,
+        LP.one(3),
+        LP.constant(-4, 3),
+        LP.variable(1, 3),
+        LP.monomial(3, (2, -3, 1)),
+        LP.monomial(1, [-1, 0, 2]) + LP.variable(2, 3),
+        LP.constant(0, 3),
+        LP.monomial(0, (3, -1, 2)),
+        LP.monomial(0, (3, -1, 2)) + LP.variable(0, 3),
+    ]
+    for poly in candidates:
         if poly.is_zero:
+            assert poly.min_exponents() == (0, 0, 0)
             continue
         scanned = tuple(map(min, zip(*(e for e, _ in poly.terms()))))
         assert poly.min_exponents() == scanned
@@ -489,3 +518,37 @@ def test_split_range_boundaries():
     assert inside.split().numerator == inside
     with pytest.raises(ExponentOverflowError):
         (x1(MAX_EXPONENT) + LP.parse("x1^-1", 2)).split()
+
+
+# -- text rendering ------------------------------------------------------------------
+
+
+def reference_text(p: LP, names: tuple[str, ...]) -> str:
+    """The canonical text form, rendered plainly from ``terms()``."""
+    if p.is_zero:
+        return "0"
+    rendered = []
+    for exps, coeff in p.terms():
+        factors = [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e != 0]
+        magnitude = abs(coeff)
+        body = "*".join(factors)
+        if not factors:
+            body = str(magnitude)
+        elif magnitude != 1:
+            body = f"{magnitude}*{body}"
+        rendered.append(("-" if coeff < 0 else "+", body))
+    sign, body = rendered[0]
+    return (body if sign == "+" else "-" + body) + "".join(f" {s} {b}" for s, b in rendered[1:])
+
+
+@given(ring_polys(1))
+@example((parse2("-x1^-2*x2 + 3*x2^-1 - 1"),))
+@example((parse2("-7"),))
+@example((parse2("x1 - 1"),))
+@example((parse2("-x1^3*x2^-3 - 2*x1*x2^-1 + 12"),))
+@example((LP.constant(-1, 0),))
+def test_to_text_matches_a_plain_terms_renderer(ps):
+    (p,) = ps
+    assert p.to_text() == reference_text(p, tuple(f"x{i + 1}" for i in range(p.nvars)))
+    names = tuple(f"y{i}" for i in range(p.nvars))
+    assert p.to_text(names) == reference_text(p, names)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -206,3 +208,33 @@ def test_isolated_vertex_leaves_no_perfect_matching():
     edgeless = MatchingGraph(1, ("y",), ("a", "b"), ())
     assert matching_polynomial(edgeless).is_zero
     assert matching_polynomial(MatchingGraph(1, ("y",), (), ())) == one
+
+
+def test_long_unit_strip_needs_no_recursion():
+    # 2,402 vertices: one elimination step per vertex must not nest calls.
+    a, b = 1, 1
+    for _ in range(1200):
+        a, b = b, a + b
+    one = LP.one(1)
+    g = strip_graph([(one, one)] * 1200, 1, ("y",))
+    assert len(g.vertices) == 2402
+    assert matching_polynomial(g) == LP.constant(b, 1)  # F(1202)
+
+
+def test_matching_polynomial_keeps_nothing_after_it_returns():
+    # With the cycle collector off, whatever the call leaves reachable only
+    # through reference cycles (a self-referencing closure and its memo, say)
+    # stays allocated; the forward pass leaves nothing behind.
+    g = realize(graph_for_root("B", 12, (2,) * 11 + (1,)))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        polynomial = matching_polynomial(g)
+        assert len(polynomial) == 16_211
+        del polynomial
+        left, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert left < 1_000_000
