@@ -13,11 +13,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from operator import add
 from pathlib import Path
 
 from .errors import BijectionError, IterationLimitError, UnsupportedTypeError
-from .laurent import LaurentPolynomial
-from .matchenum import cluster_expansion
+from .laurent import LaurentPolynomial, MonomialFactorization
+from .matchenum import root_matching_polynomial
 from .mutation import (
     FAMILIES,
     belt,
@@ -114,7 +115,9 @@ def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
     if args.format == "dot":
         return 0, to_dot(realize(graph_for_root(args.type, args.rank, root)))
     names = variable_names(args.type, args.rank)
-    split = cluster_expansion(args.type, args.rank, root).split()
+    # The expansion is P / x^root: P's own numerator over x^(root - min exponents of P).
+    numerator, shift = root_matching_polynomial(args.type, args.rank, root).split()
+    split = MonomialFactorization(numerator, tuple(map(add, root, shift)))
     if args.format == "json":
         numerator = split.numerator.to_text(names)
         payload = {

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 import re
 import struct
-from dataclasses import dataclass
 from functools import cache
 from heapq import heapify, heappop, heappush
 from operator import add, getitem, index, sub
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, ExponentOverflowError, InexactDivisionError, PoleError
 
@@ -436,12 +435,15 @@ class LaurentPolynomial:
         """Split into a monomial-free numerator and a denominator exponent vector.
 
         ``denominator[i]`` is the negated minimum exponent of variable ``i``;
-        initial variables therefore split with a ``-1`` entry.
+        initial variables therefore split with a ``-1`` entry.  A polynomial
+        whose minimum exponents are all zero is its own numerator.
         """
         if self.is_zero:
             raise ValueError("cannot split the zero polynomial")
         nvars = self.nvars
         mins = self.min_exponents()
+        if not any(mins):
+            return MonomialFactorization(self, mins)
         shift = _pack(mins, nvars) - _zero_key(nvars)
         out = {k - shift: c for k, c in self._terms.items()}
         _check_range(out, nvars)
@@ -544,9 +546,8 @@ def _split_terms(text: str) -> Iterable[tuple[int, str]]:
     return chunks
 
 
-@dataclass(frozen=True)
-class MonomialFactorization:
-    """A polynomial written as numerator / (product of variable powers)."""
+class MonomialFactorization(NamedTuple):
+    """A polynomial written as numerator / (product of variable powers); immutable."""
 
     numerator: LaurentPolynomial
     denominator: ExponentVector

@@ -135,11 +135,19 @@ def strip_transfer_polynomial(
     return prev1
 
 
-def cluster_expansion(family: str, rank: int, root: RootVector) -> LaurentPolynomial:
-    """P(G_root) divided exactly by the monomial x^root (the matching route)."""
-    graph = graph_for_root(family, rank, root)
-    polynomial = matching_polynomial(realize(graph))
+def root_matching_polynomial(family: str, rank: int, root: RootVector) -> LaurentPolynomial:
+    """P(G_root), the matching polynomial of the family graph of ``root``.
+
+    Raises BijectionError when ``root`` has no family graph or that graph
+    has no perfect matching.
+    """
+    polynomial = matching_polynomial(realize(graph_for_root(family, rank, root)))
     if polynomial.is_zero:
         raise BijectionError(f"graph for root {root} has no perfect matching")
+    return polynomial
+
+
+def cluster_expansion(family: str, rank: int, root: RootVector) -> LaurentPolynomial:
+    """P(G_root) divided exactly by the monomial x^root (the matching route)."""
     shift = LaurentPolynomial.monomial(1, tuple(-e for e in root))
-    return polynomial * shift
+    return root_matching_polynomial(family, rank, root) * shift

@@ -16,12 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import BijectionError, IterationLimitError, UnsupportedTypeError
 from .laurent import LaurentPolynomial
@@ -130,13 +128,25 @@ def mutate_matrix(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int,
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ExchangeMatrix:
+class _ExchangeRows(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        if self.skew_symmetrizer() is None:
+
+class ExchangeMatrix(_ExchangeRows):
+    """An exchange matrix; constructing one that is not skew-symmetrizable raises."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> ExchangeMatrix:
+        matrix = super().__new__(cls, rows)
+        if matrix.skew_symmetrizer() is None:
             raise ValueError("exchange matrix is not skew-symmetrizable")
+        return matrix
+
+    @classmethod
+    def _make(cls, iterable) -> ExchangeMatrix:
+        # ``_replace`` builds through ``_make``, so it is checked too.
+        return cls(*iterable)
 
     @property
     def n(self) -> int:
@@ -151,34 +161,55 @@ class ExchangeMatrix:
         )
 
     def skew_symmetrizer(self) -> tuple[int, ...] | None:
-        """Positive integers d with d_i b_ij = -d_j b_ji, or None."""
-        n = len(self.rows)
-        d: list[Fraction | None] = [None] * n
+        """Positive integers d with d_i b_ij = -d_j b_ji, or None.
+
+        Each connected component is walked from its first node with d = 1 and
+        scaled up by the least factor that keeps it integral whenever a ratio
+        |b_ij| / |b_ji| would leave the integers, so its entries stay coprime.
+        Every component is then scaled so that all first nodes read the lcm
+        of their values: the least integer vector in which each first node
+        has the same value.
+        """
+        rows = self.rows
+        n = len(rows)
+        d = [0] * n  # 0 marks a node not reached yet
+        components: list[tuple[list[int], int]] = []
         for start in range(n):
-            if d[start] is not None:
+            if d[start]:
                 continue
-            d[start] = Fraction(1)
+            d[start] = 1
+            component = [start]
             stack = [start]
             while stack:
                 i = stack.pop()
                 for j in range(n):
-                    bij, bji = self.rows[i][j], self.rows[j][i]
+                    bij, bji = rows[i][j], rows[j][i]
                     if bij == 0 and bji == 0:
                         continue
                     if bij == 0 or bji == 0 or bij * bji > 0:
                         return None
-                    scaled = d[i] * Fraction(-bij, bji)
-                    if d[j] is None:
-                        d[j] = scaled
-                        stack.append(j)
-                    elif d[j] != scaled:
-                        return None
-        lcm_den = math.lcm(*(value.denominator for value in d))
-        return tuple(int(value * lcm_den) for value in d)
+                    if d[j]:
+                        if d[j] * abs(bji) != d[i] * abs(bij):
+                            return None
+                        continue
+                    numerator = d[i] * abs(bij)
+                    scale = abs(bji) // math.gcd(numerator, abs(bji))
+                    if scale > 1:
+                        for m in component:
+                            d[m] *= scale
+                        numerator *= scale
+                    d[j] = numerator // abs(bji)
+                    component.append(j)
+                    stack.append(j)
+            components.append((component, d[start]))
+        lcm = math.lcm(*(first for _, first in components))
+        for component, first in components:
+            for m in component:
+                d[m] *= lcm // first
+        return tuple(d)
 
 
-@dataclass(frozen=True)
-class Seed:
+class Seed(NamedTuple):
     """A cluster of Laurent polynomials together with an exchange matrix."""
 
     cluster: tuple[LaurentPolynomial, ...]
@@ -210,31 +241,25 @@ def initial_seed(family: str, rank: int) -> Seed:
     return Seed(cluster, matrix)
 
 
-@dataclass(frozen=True)
-class BeltCell:
+class BeltCell(NamedTuple):
     slot: int
     superscript: int
     value: LaurentPolynomial
 
 
-@dataclass(frozen=True)
-class BeltLattice:
+class BeltLattice(NamedTuple):
     """Rows of x_i^(j) values generated along the bipartite belt.
 
     The first two rows are the odd and the even slots of the initial
-    cluster; each later row is one sweep, in slot order.
+    cluster; each later row is one sweep, in slot order.  ``values`` holds
+    every cell value keyed by (slot, superscript), read-only, as belts are
+    shared.
     """
 
     family: str
     rank: int
     rows: tuple[tuple[BeltCell, ...], ...]
-
-    @cached_property
-    def values(self) -> Mapping[tuple[int, int], LaurentPolynomial]:
-        """Every cell value keyed by (slot, superscript); read-only, as belts are shared."""
-        return MappingProxyType(
-            {(cell.slot, cell.superscript): cell.value for row in self.rows for cell in row}
-        )
+    values: Mapping[tuple[int, int], LaurentPolynomial]
 
     def value(self, slot: int, superscript: int) -> LaurentPolynomial | None:
         return self.values.get((slot, superscript))
@@ -302,7 +327,8 @@ def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
             denominator = _noninitial_denominator(cell.value)
             if denominator is not None:
                 covered.add(denominator)
-    return BeltLattice(family, rank, tuple(rows))
+    values = {(cell.slot, cell.superscript): cell.value for row in rows for cell in row}
+    return BeltLattice(family, rank, tuple(rows), MappingProxyType(values))
 
 
 @cache

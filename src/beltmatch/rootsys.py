@@ -9,7 +9,7 @@ by reflection closure starting from the simple roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import IterationLimitError
 
@@ -23,8 +23,7 @@ def _closure_round_cap(rank: int) -> int:
     return 4 * rank + 16
 
 
-@dataclass(frozen=True)
-class CartanSpec:
+class CartanSpec(NamedTuple):
     family: str
     rank: int
     cartan: tuple[tuple[int, ...], ...]

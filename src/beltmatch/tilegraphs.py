@@ -33,9 +33,8 @@ Families and their graphs:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cache
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import BijectionError, StructureError
 from .laurent import LaurentPolynomial
@@ -49,8 +48,7 @@ Weight = Union[int, None]  # ambient variable slot, None for a unit edge
 _ARC = ("h1.6", "h2.4")
 
 
-@dataclass(frozen=True)
-class Tile:
+class Tile(NamedTuple):
     """A weighted cycle graph in a fixed orientation (no rotations, no reflections)."""
 
     index: int  # 1..n, or -1 for the D-type twin trapezoid T_1bar
@@ -121,37 +119,32 @@ def tile_set(family: str, rank: int) -> dict[int, Tile]:
 # -- layouts ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StripLayout:
+class StripLayout(NamedTuple):
     """Squares glued in a row, west to east (A_n intervals, C_n multisets)."""
 
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class TowerLayout:
+class TowerLayout(NamedTuple):
     """Rotated squares stacked bottom to top with no base hexagon."""
 
     indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class LoneTrapezoidLayout:
+class LoneTrapezoidLayout(NamedTuple):
     """A single unattached trapezoid."""
 
     index: int
 
 
-@dataclass(frozen=True)
-class HexBaseLayout:
+class HexBaseLayout(NamedTuple):
     """One hexagon with trapezoids at unit positions and an optional tower."""
 
     traps: tuple[tuple[str, int], ...]  # (hexagon position, trapezoid index)
     tower: tuple[int, ...]  # tile indices bottom to top, may be empty
 
 
-@dataclass(frozen=True)
-class DoubleHexLayout:
+class DoubleHexLayout(NamedTuple):
     """Two hexagons joined by a bridging trapezoid, with a tower on each.
 
     The bridge is always the trapezoid T_1; it spans the west hexagon's P3
@@ -170,8 +163,7 @@ class DoubleHexLayout:
 Layout = Union[StripLayout, TowerLayout, LoneTrapezoidLayout, HexBaseLayout, DoubleHexLayout]
 
 
-@dataclass(frozen=True)
-class TileGraph:
+class TileGraph(NamedTuple):
     family: str
     rank: int
     mu: RootVector
@@ -300,8 +292,7 @@ def graph_for_root(family: str, rank: int, root: RootVector) -> TileGraph:
 # -- realization ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MatchingEdge:
+class MatchingEdge(NamedTuple):
     u: str
     v: str
     weight: LaurentPolynomial
@@ -310,8 +301,7 @@ class MatchingEdge:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
 
-@dataclass(frozen=True)
-class MatchingGraph:
+class MatchingGraph(NamedTuple):
     nvars: int
     names: tuple[str, ...]
     vertices: tuple[str, ...]

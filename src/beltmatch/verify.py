@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import PoleError
 from .laurent import LaurentPolynomial
@@ -29,8 +28,7 @@ from .mutation import belt, check_supported, exchange_matrix, noninitial_variabl
 from .tilegraphs import MatchingGraph, enumerate_family, strip_graph
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: dict
@@ -41,9 +39,11 @@ class CheckResult:
         return {"name": self.name, "passed": self.passed, "details": self.details}
 
 
-@dataclass
 class VerificationReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    """The results of a verification run; checks are added as they finish."""
+
+    def __init__(self) -> None:
+        self.checks: list[CheckResult] = []
 
     @property
     def passed(self) -> bool:
@@ -125,8 +125,7 @@ def verify_theorem(family: str, rank: int) -> CheckResult:
 # -- extended-lattice configuration ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtendedLatticeConfig:
+class ExtendedLatticeConfig(NamedTuple):
     """Signed boundary-less lattice: y_1 = 1, y_{-1} = -1, y_{-i} = -y_i, y_0 symbolic.
 
     Ambient slots are 0..max_index with slot i holding y_i (slot 1 is unused
@@ -164,14 +163,17 @@ def tile_strip(config: ExtendedLatticeConfig, lo: int, hi: int) -> MatchingGraph
 
 def strip_limit(config: ExtendedLatticeConfig, lo: int, hi: int) -> LaurentPolynomial:
     """P(tiles lo..hi) divided exactly by the tile monomial, then y_0 sent
-    to 0 (the exact limit); the empty strip is 1."""
+    to 0 (the exact limit); the empty strip is 1.
+
+    Every tile weight is 1, -1 or +-y_i, so the tile monomial is +-y^e and
+    dividing by it is multiplying by its inverse."""
     one = LaurentPolynomial.one(config.nvars)
     if lo > hi:
         return one
     monomial = one
     for i in range(lo, hi + 1):
         monomial = monomial * config.weight(i)
-    quotient = matching_polynomial(tile_strip(config, lo, hi)).div_exact(monomial)
+    quotient = matching_polynomial(tile_strip(config, lo, hi)) * monomial.monomial_inverse()
     return quotient.substitute({0: LaurentPolynomial.zero(config.nvars)})
 
 

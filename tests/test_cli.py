@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -194,7 +198,7 @@ def test_core_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*args):
         raise DimensionMismatchError("operands have 2 and 3 variables")
 
-    monkeypatch.setattr("beltmatch.cli.cluster_expansion", broken)
+    monkeypatch.setattr("beltmatch.cli.root_matching_polynomial", broken)
     with pytest.raises(DimensionMismatchError, match="2 and 3 variables"):
         main(["expand", "--type", "A", "--rank", "2", "--root", "1,0"])
     assert capsys.readouterr().out == ""
@@ -217,3 +221,20 @@ def test_check_that_raises_is_a_fail_record(capsys, monkeypatch, error):
     code, out = run(capsys, "verify", "--type", "A", "--rank", "3", "--checks", "theorem", "--format", "text")
     assert code == 1
     assert out.splitlines() == [f"FAIL theorem[A3] {message}", "some checks FAILED"]
+
+
+def test_cli_import_leaves_dataclasses_and_fractions_unloaded():
+    # Every CLI job pays the package import; the records are NamedTuples and
+    # the symmetrizer computes in integers, so neither machinery is loaded.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+
+    def loaded(statement: str) -> set[str]:
+        probe = f"import sys\n{statement}\nprint(' '.join(sys.modules))"
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        return set(done.stdout.split())
+
+    added = loaded("import beltmatch.cli") - loaded("pass")
+    assert "beltmatch.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "fractions", "decimal"})

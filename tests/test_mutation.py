@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltmatch.errors import UnsupportedTypeError
@@ -77,6 +80,70 @@ def test_matrices_are_bipartite_and_skew_symmetrizable():
         assert d is not None and all(x > 0 for x in d)
     assert ExchangeMatrix(exchange_matrix("G2", 2)).skew_symmetrizer() == (3, 1)
     assert ExchangeMatrix(exchange_matrix("B", 3)).skew_symmetrizer() == (2, 1, 1)
+
+
+def _fraction_symmetrizer(rows):
+    """Reference: the same walk over exact fractions, then one common denominator."""
+    n = len(rows)
+    d = [None] * n
+    for start in range(n):
+        if d[start] is not None:
+            continue
+        d[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                bij, bji = rows[i][j], rows[j][i]
+                if bij == 0 and bji == 0:
+                    continue
+                if bij == 0 or bji == 0 or bij * bji > 0:
+                    return None
+                scaled = d[i] * Fraction(-bij, bji)
+                if d[j] is None:
+                    d[j] = scaled
+                    stack.append(j)
+                elif d[j] != scaled:
+                    return None
+    lcm_den = math.lcm(*(value.denominator for value in d))
+    return tuple(int(value * lcm_den) for value in d)
+
+
+entries = st.sampled_from((0, 1, -1, 2, -2, 3, -3, 4, -4, 6, -6))
+
+
+@st.composite
+def symmetrizer_inputs(draw):
+    """1-6 nodes: any entries (rarely symmetrizable), or d_i b_ij = -d_j b_ji
+    by construction for drawn d, with sparse bonds (often disconnected)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    if draw(st.booleans()):
+        rows = [[0 if i == j else draw(entries) for j in range(n)] for i in range(n)]
+    else:
+        d = [draw(st.sampled_from((1, 2, 3))) for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                k = draw(st.sampled_from((0, 0, 1, -1, 2, -2)))
+                g = math.gcd(d[i], d[j])
+                rows[i][j], rows[j][i] = k * d[j] // g, -k * d[i] // g
+    return tuple(tuple(row) for row in rows)
+
+
+@given(symmetrizer_inputs())
+@example(((0, 2, 0, 0), (-1, 0, 0, 0), (0, 0, 0, 3), (0, 0, -2, 0)))  # two components
+@example(((0, 1, 0), (-3, 0, 2), (0, -1, 0)))  # a scale-up mid-walk
+@example(((0, 1, 0), (-1, 0, 1), (0, 2, 0)))  # a sign clash
+@example(((0, 1, 2), (-1, 0, 1), (-1, -1, 0)))  # a cycle of inconsistent ratios
+@example(((0,),))
+@settings(max_examples=300, deadline=None)
+def test_skew_symmetrizer_matches_a_fraction_reference(rows):
+    expected = _fraction_symmetrizer(rows)
+    if expected is None:
+        with pytest.raises(ValueError, match="not skew-symmetrizable"):
+            ExchangeMatrix(rows)
+    else:
+        assert ExchangeMatrix(rows).skew_symmetrizer() == expected
 
 
 def test_mutate_matrix_rank_two():

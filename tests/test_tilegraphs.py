@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -165,8 +164,9 @@ def test_graph_for_root_b3_shapes():
 
 def test_graph_for_root_cached_lookup_is_not_aliased():
     reference = {g.mu: g for g in enumerate_family.__wrapped__("B", 3)}
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         graph_for_root("B", 3, (2, 2, 1)).mu = (0, 0, 1)
+    assert graph_for_root("B", 3, (2, 2, 1)).mu == (2, 2, 1)
     assert {root: graph_for_root("B", 3, root) for root in reference} == reference
 
 
