@@ -110,24 +110,32 @@ def cmd_graphs(args: argparse.Namespace) -> tuple[int, str]:
     )
 
 
+def _expansion(args: argparse.Namespace, root: tuple[int, ...]) -> MonomialFactorization:
+    # The expansion is P / x^root: P's own numerator over x^(root - min exponents of P).
+    numerator, shift = root_matching_polynomial(args.type, args.rank, root).split()
+    return MonomialFactorization(numerator, tuple(map(add, root, shift)))
+
+
+def _expansion_fields(args: argparse.Namespace, root: tuple[int, ...], names: tuple[str, ...]) -> dict:
+    """The JSON fields of an expansion, rendered, so no polynomial outlives this call."""
+    split = _expansion(args, root)
+    numerator = split.numerator.to_text(names)
+    return {
+        "root": list(root),
+        "numerator": numerator,
+        "denominator": [int(d) for d in split.denominator],
+        "text": split.over_denominator(numerator, names),
+    }
+
+
 def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
     root = _parse_root(args.root, args.rank)
     if args.format == "dot":
         return 0, to_dot(realize(graph_for_root(args.type, args.rank, root)))
     names = variable_names(args.type, args.rank)
-    # The expansion is P / x^root: P's own numerator over x^(root - min exponents of P).
-    numerator, shift = root_matching_polynomial(args.type, args.rank, root).split()
-    split = MonomialFactorization(numerator, tuple(map(add, root, shift)))
     if args.format == "json":
-        numerator = split.numerator.to_text(names)
-        payload = {
-            "root": list(root),
-            "numerator": numerator,
-            "denominator": [int(d) for d in split.denominator],
-            "text": split.over_denominator(numerator, names),
-        }
-        return 0, json.dumps(payload, indent=2, sort_keys=True)
-    return 0, split.to_text(names)
+        return 0, json.dumps(_expansion_fields(args, root, names), indent=2, sort_keys=True)
+    return 0, _expansion(args, root).to_text(names)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:

@@ -266,12 +266,18 @@ class LaurentPolynomial:
     def __mul__(self, other: LaurentPolynomial) -> LaurentPolynomial:
         self._check_same_ring(other)
         nvars = self.nvars
+        zero = _zero_key(nvars)
+        # A product by the constant 1 is the other operand: polynomials are immutable.
+        one = {zero: 1}
+        if self._terms == one:
+            return other
+        if other._terms == one:
+            return self
         small, big = self._terms, other._terms
         if len(small) > len(big):
             small, big = big, small
         if not small:
             return LaurentPolynomial._adopt({}, nvars)
-        zero = _zero_key(nvars)
         if len(small) == 1:
             (ka, ca), = small.items()
             shift = ka - zero

@@ -4,7 +4,8 @@ The Cartan matrix is derived from the same exchange matrix that seeds the
 mutation belt (a_ii = 2, a_ij = -|b_ij|), so the labelling conventions --
 which node carries the double bond, the (1, 1bar, 2, ..., n-1) order for
 D_n -- automatically agree with the rest of the package.  Roots are computed
-by reflection closure starting from the simple roots.
+by upward reflection closure from the simple roots: each round applies to the
+newest roots only the simple reflections that raise them.
 """
 
 from __future__ import annotations
@@ -17,9 +18,9 @@ RootVector = tuple[int, ...]
 
 
 def _closure_round_cap(rank: int) -> int:
-    # The closure stabilises within the height of the highest root, which is
-    # below 2*rank for every supported family; the slack keeps this a pure
-    # safety net against a wrong Cartan matrix.
+    # Each round raises the height, so the closure stabilises within the height
+    # of the highest root, at most 2*rank + 1 for every supported family; the
+    # slack keeps this a pure safety net against a wrong Cartan matrix.
     return 4 * rank + 16
 
 
@@ -44,23 +45,18 @@ class CartanSpec(NamedTuple):
         return cls(family, rank, cartan)
 
 
-def reflect(spec: CartanSpec, alpha: RootVector, j: int) -> RootVector:
-    """Simple reflection s_j acting in simple-root coordinates."""
-    a = spec.cartan
-    pairing = sum(alpha[i] * a[i][j] for i in range(len(alpha)))
-    out = list(alpha)
-    out[j] -= pairing
-    return tuple(out)
-
-
 def positive_roots(spec: CartanSpec) -> tuple[RootVector, ...]:
     """All positive roots, sorted lexicographically.
 
-    Reflection closure: start from the simple roots and apply simple
-    reflections, keeping the vectors with nonnegative coordinates, until no
-    new roots appear.
+    Every non-simple positive root is s_j of a lower one, alpha, whose pairing
+    p_j = sum_i alpha_i * a_ij is negative (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 10.2).  So each round applies to the
+    newest roots only those s_j; s_j alpha = alpha - p_j * e_j is then
+    nonnegative and nonzero by construction.  Each pairing sums over the
+    support of alpha and the nonzero entries of the Cartan rows.
     """
     n = len(spec.cartan)
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in spec.cartan]
     simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     roots: set[RootVector] = set(simple)
     frontier = set(simple)
@@ -72,10 +68,15 @@ def positive_roots(spec: CartanSpec) -> tuple[RootVector, ...]:
             raise IterationLimitError("reflection closure failed to stabilise")
         fresh: set[RootVector] = set()
         for alpha in frontier:
-            for j in range(n):
-                beta = reflect(spec, alpha, j)
-                if beta not in roots and all(c >= 0 for c in beta) and any(beta):
-                    fresh.add(beta)
+            pairing = [0] * n
+            for i, c in enumerate(alpha):
+                if c:
+                    for j, a in rows[i]:
+                        pairing[j] += c * a
+            for j, p in enumerate(pairing):
+                if p < 0:
+                    fresh.add(alpha[:j] + (alpha[j] - p,) + alpha[j + 1 :])
+        fresh -= roots
         roots |= fresh
         frontier = fresh
     return tuple(sorted(roots))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,30 @@ def test_expand_json_text_matches_text_format(capsys):
     payload = json.loads(out)
     assert payload["text"] == text.rstrip("\n")
     assert payload["text"].startswith(f"({payload['numerator']}) / ")
+
+
+def test_expand_json_holds_no_polynomial_while_encoding(capsys, monkeypatch):
+    # The A20 heaviest root has a 17,711-term numerator.  By the time its JSON
+    # is encoded only the rendered strings may be alive: the numerator text
+    # and the text field, not the polynomial behind them.
+    argv = ("expand", "--type", "A", "--rank", "20", "--root", ",".join(["1"] * 20), "--format", "json")
+    run(capsys, *argv)  # warm the per-(family, rank) caches outside the trace
+    seen = {}
+    dumps = json.dumps
+
+    def spy(payload, *args, **kwargs):
+        seen["held"] = tracemalloc.get_traced_memory()[0]
+        seen["numerator"] = len(payload["numerator"])
+        return dumps(payload, *args, **kwargs)
+
+    monkeypatch.setattr("beltmatch.cli.json.dumps", spy)
+    tracemalloc.start()
+    try:
+        code, _ = run(capsys, *argv)
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert seen["held"] < 3 * seen["numerator"]
 
 
 def test_variables_text(capsys):

@@ -42,7 +42,19 @@ def test_add_merges_coefficients():
 
 def test_mul_identity_and_cancellation():
     p = parse2("x2 + 1")
-    assert p * LP.one(2) == p
+    one = LP.one(2)
+    assert p * one == p
+    # A product by exactly 1 shares the other operand; -1 and every other
+    # monomial still build a fresh, range-checked product.
+    assert p * one is p
+    assert one * p is p
+    assert p * LP.constant(-1, 2) == -p
+    with pytest.raises(DimensionMismatchError):
+        LP.one(3) * parse2("x1")
+    q = parse2("x1 - 1")
+    text = p.to_text()
+    assert (p * one) + q == parse2("x2 + x1")
+    assert p.to_text() == text
     assert LP.parse("x1^-1", 2) * LP.parse("x1", 2) == LP.one(2)
 
 

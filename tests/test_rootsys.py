@@ -42,16 +42,46 @@ def test_d4_roots_in_paper_index_order():
     assert (2, 0, 1, 0) not in roots
 
 
-@pytest.mark.parametrize(
-    "family,rank",
-    [("A", n) for n in range(1, 9)]
-    + [("B", n) for n in range(2, 6)]
-    + [("C", n) for n in range(2, 6)]
-    + [("D", n) for n in range(4, 7)]
-    + [("G2", 2)],
+RUNGS = (
+    [("A", n) for n in range(1, 31)]
+    + [("B", n) for n in range(2, 21)]
+    + [("C", n) for n in range(2, 21)]
+    + [("D", n) for n in range(4, 21)]
+    + [("G2", 2)]
 )
+
+
+def full_reflection_closure(spec: CartanSpec):
+    """Reference closure: every simple reflection on every new root, keeping
+    the nonnegative nonzero images, until no new root appears."""
+    n = len(spec.cartan)
+    simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
+    roots = set(simple)
+    frontier = set(simple)
+    while frontier:
+        fresh = set()
+        for alpha in frontier:
+            for j in range(n):
+                pairing = sum(alpha[i] * spec.cartan[i][j] for i in range(n))
+                beta = list(alpha)
+                beta[j] -= pairing
+                beta = tuple(beta)
+                if beta not in roots and all(c >= 0 for c in beta) and any(beta):
+                    fresh.add(beta)
+        roots |= fresh
+        frontier = fresh
+    return tuple(sorted(roots))
+
+
+@pytest.mark.parametrize("family,rank", RUNGS)
 def test_cardinality_matches_closed_form(family, rank):
     assert len(roots_of(family, rank)) == expected_root_count(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", RUNGS)
+def test_upward_closure_matches_full_reflection_closure(family, rank):
+    spec = CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank))
+    assert positive_roots(spec) == full_reflection_closure(spec)
 
 
 def test_roots_are_sorted_and_nonnegative():
