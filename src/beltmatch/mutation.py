@@ -4,6 +4,16 @@ This is the oracle side of the package: exchange-matrix mutation, binomial
 seed exchange, and row-by-row generation of cluster variables by mutating
 all odd-labelled directions, then all even-labelled ones, repeatedly.
 
+The belt itself runs no seed mutation.  A bipartite sweep only negates the
+exchange matrix, so every step is the sign-free exchange
+x_k' = (prod_j x_j^|b_kj| + 1) / x_k read off the initial matrix.  The belt
+is periodic up to the Dynkin involution (``dynkin_involution``), so its
+period is grown from both ends: forward from the initial cluster (odd slots
+first) and backward from it (even slots first), where the late, shrinking
+variables are small.  Only the labels of the backward values rest on that
+periodicity, never the values themselves, and ``verify --checks diamonds``
+certifies every label, the seam included.
+
 Every per-node convention is read off one Dynkin diagram per (family,
 rank): ``nodes`` gives the node each slot of the ambient ring holds (for
 D_n the order (1, 1bar, 2, 3, ..., n-1), with 1bar written -1), and
@@ -17,7 +27,8 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
-from itertools import chain
+from itertools import chain, cycle
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -105,6 +116,20 @@ def parity_groups(family: str, rank: int) -> tuple[tuple[int, ...], tuple[int, .
     odd = tuple(slot for slot, node in enumerate(order) if node % 2)
     even = tuple(slot for slot, node in enumerate(order) if not node % 2)
     return odd, even
+
+
+def dynkin_involution(family: str, rank: int) -> tuple[int, ...]:
+    """The slot permutation epsilon by which the belt returns after h+2 sweeps.
+
+    It reverses the slots of A_n, swaps x1 and x1b in D_n for odd n, and
+    fixes every slot otherwise (Fomin-Zelevinsky, "Y-systems and generalized
+    associahedra", Ann. Math. 158, 2003).
+    """
+    if family == "A":
+        return tuple(reversed(range(rank)))
+    if family == "D" and rank % 2:
+        return (1, 0) + tuple(range(2, rank))
+    return tuple(range(rank))
 
 
 def mutate_matrix(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int, ...], ...]:
@@ -298,31 +323,82 @@ def _noninitial_denominator(value: LaurentPolynomial) -> RootVector | None:
     return None
 
 
+def _sweeps(family: str, rank: int, groups: tuple[tuple[int, ...], ...]):
+    """Yield the new (slot, value) pairs of each sweep from the initial
+    cluster, mutating ``groups`` in turn, without end.
+
+    The slots of a group are pairwise non-adjacent and a full sweep negates
+    the exchange matrix, so row k keeps its initial magnitudes and one side
+    of every exchange binomial is 1.
+    """
+    neighbours = [
+        [(j, abs(b)) for j, b in enumerate(row) if b] for row in exchange_matrix(family, rank)
+    ]
+    one = LaurentPolynomial.one(rank)
+    cluster = [LaurentPolynomial.variable(i, rank) for i in range(rank)]
+    for group in cycle(groups):
+        for k in group:
+            monomial = one
+            for j, b in neighbours[k]:
+                monomial = monomial * cluster[j] ** b
+            cluster[k] = (monomial + one).div_exact(cluster[k])
+        yield tuple((k, cluster[k]) for k in group)
+
+
+def _terms(sweeps: list) -> int:
+    """Terms in the latest sweep of one side; 0 before its first."""
+    return sum(len(value) for _, value in sweeps[-1]) if sweeps else 0
+
+
 @cache
 def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
     """Generate belt rows until the denominator vectors cover all positive roots.
 
-    Exceeding the row cap (default 2*(h+2) sweeps, h = 2|roots|/n the Coxeter
-    number) without covering every positive root raises IterationLimitError.
-    The lattice is immutable and cached per (family, rank, max_rows).
+    The h sweeps of one period (h = 2|roots|/n, the Coxeter number) are
+    grown from both ends of it.  One side runs forward from the initial
+    cluster, odd slots first; the other runs backward, even slots first,
+    and its sweep s is forward sweep h+1-s with each slot k moved to
+    epsilon(k) (``dynkin_involution``).  The side whose latest sweep has
+    fewer terms is extended until the two hold h sweeps between them; a
+    row cap below h is reached by the forward side alone.
+
+    The glued rows are then walked as the forward belt would be: exceeding
+    the row cap (default 2*(h+2) sweeps) without covering every positive
+    root raises IterationLimitError.  The lattice is immutable and cached
+    per (family, rank, max_rows).
     """
     wanted = set(roots(family, rank))
-    cap = max_rows if max_rows is not None else 2 * (2 * len(wanted) // rank + 2)
+    h = 2 * len(wanted) // rank
+    cap = max_rows if max_rows is not None else 2 * (h + 2)
     odd, even = parity_groups(family, rank)
-    seed = initial_seed(family, rank)
-    rows = [tuple(BeltCell(k, 0, seed.cluster[k]) for k in group) for group in (odd, even)]
+    forward, backward = _sweeps(family, rank, (odd, even)), _sweeps(family, rank, (even, odd))
+    ahead, behind = [], []  # forward sweeps 1, 2, ...; backward sweeps 1, 2, ...
+    # A period takes h sweeps, so a lower cap is reached going forward alone.
+    while len(ahead) + len(behind) < min(h, cap):
+        if cap < h or _terms(ahead) <= _terms(behind):
+            ahead.append(next(forward))
+        else:
+            behind.append(next(backward))
+    epsilon = dynkin_involution(family, rank)
+    glued = ahead + [
+        sorted(((epsilon[k], value) for k, value in sweep), key=itemgetter(0))
+        for sweep in reversed(behind)
+    ]
+    rows = [
+        tuple(BeltCell(k, 0, LaurentPolynomial.variable(k, rank)) for k in group)
+        for group in (odd, even)
+    ]
     covered: set[RootVector] = set()
     sweep = 0
     while covered != wanted:
         sweep += 1
-        if sweep > cap:
+        # Past sweep h the belt only returns to epsilon of the initial
+        # cluster, so a period that does not cover never will.
+        if sweep > cap or sweep > h:
             raise IterationLimitError(
                 f"belt for {family}_{rank} did not cover all positive roots in {cap} sweeps"
             )
-        group = odd if sweep % 2 == 1 else even
-        for k in group:
-            seed = seed.mutate(k)
-        rows.append(tuple(BeltCell(k, sweep, seed.cluster[k]) for k in group))
+        rows.append(tuple(BeltCell(k, sweep, value) for k, value in glued[sweep - 1]))
         for cell in rows[-1]:
             denominator = _noninitial_denominator(cell.value)
             if denominator is not None:

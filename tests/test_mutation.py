@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from beltmatch.errors import UnsupportedTypeError
+from beltmatch import mutation
+from beltmatch.errors import IterationLimitError, UnsupportedTypeError
 from beltmatch.laurent import LaurentPolynomial as LP
 from beltmatch.mutation import (
+    BeltCell,
     ExchangeMatrix,
     Seed,
+    _noninitial_denominator,
     _variables,
     belt,
     exchange_matrix,
@@ -21,8 +25,10 @@ from beltmatch.mutation import (
     mutate_matrix,
     noninitial_variables,
     parity_groups,
+    roots,
     variable_names,
 )
+from beltmatch.verify import check_belt_diamonds
 
 
 def poly(text: str, nvars: int, family: str = "A", rank: int | None = None) -> LP:
@@ -313,10 +319,88 @@ def test_belt_json_shape():
 
 
 def test_belt_row_cap_is_an_error():
-    from beltmatch.errors import IterationLimitError
-
     with pytest.raises(IterationLimitError):
         belt("A", 5, max_rows=2)
+
+
+@cache
+def _forward_belt(family: str, rank: int) -> tuple[tuple[BeltCell, ...], ...]:
+    """Reference: the belt stepped forward by ``Seed.mutate`` alone, odd slots
+    first, until the denominator vectors cover every positive root."""
+    wanted = set(roots(family, rank))
+    cap = 2 * (2 * len(wanted) // rank + 2)
+    odd, even = parity_groups(family, rank)
+    seed = initial_seed(family, rank)
+    rows = [tuple(BeltCell(k, 0, seed.cluster[k]) for k in group) for group in (odd, even)]
+    covered = set()
+    sweep = 0
+    while covered != wanted:
+        sweep += 1
+        if sweep > cap:
+            raise IterationLimitError(
+                f"belt for {family}_{rank} did not cover all positive roots in {cap} sweeps"
+            )
+        group = odd if sweep % 2 == 1 else even
+        for k in group:
+            seed = seed.mutate(k)
+        rows.append(tuple(BeltCell(k, sweep, seed.cluster[k]) for k in group))
+        for cell in rows[-1]:
+            denominator = _noninitial_denominator(cell.value)
+            if denominator is not None:
+                covered.add(denominator)
+    return tuple(rows)
+
+
+REFERENCE_LADDER = (
+    [("A", r) for r in range(1, 12)]
+    + [("B", r) for r in range(2, 8)]
+    + [("C", r) for r in range(2, 8)]
+    + [("D", r) for r in range(4, 9)]
+    + [("G2", 2)]
+)
+
+
+def _assert_same_rows(got, expected):
+    assert len(got) == len(expected)
+    for row, reference in zip(got, expected):
+        assert [(c.slot, c.superscript) for c in row] == [(c.slot, c.superscript) for c in reference]
+        for cell, ref in zip(row, reference):
+            assert cell.value == ref.value, (cell.slot, cell.superscript)
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_LADDER)
+def test_two_ended_belt_matches_the_forward_reference(family, rank):
+    _assert_same_rows(belt(family, rank).rows, _forward_belt(family, rank))
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_LADDER)
+def test_two_ended_belt_keeps_the_row_cap(family, rank):
+    expected = _forward_belt(family, rank)
+    covering = len(expected) - 2
+    _assert_same_rows(belt(family, rank, max_rows=covering).rows, expected)
+    with pytest.raises(IterationLimitError) as capped:
+        belt(family, rank, max_rows=covering - 1)
+    assert str(capped.value) == (
+        f"belt for {family}_{rank} did not cover all positive roots in {covering - 1} sweeps"
+    )
+
+
+def test_diamonds_catch_backward_values_placed_without_the_involution(monkeypatch):
+    # Only the labels of the backward values rest on periodicity; the diamond
+    # check is their certificate, so a wrong epsilon must fail it.
+    def clear():
+        belt.cache_clear()
+        _variables.cache_clear()
+
+    clear()
+    monkeypatch.setattr(mutation, "dynkin_involution", lambda family, rank: tuple(range(rank)))
+    try:
+        for family, rank in [("A", 3), ("D", 5)]:
+            result = check_belt_diamonds(family, rank)
+            assert not result.passed, (family, rank)
+            assert "counterexample" in result.details
+    finally:
+        clear()
 
 
 # -- noninitial_variables --------------------------------------------------------------
