@@ -21,7 +21,8 @@ never wraps.  Exponent vectors cross the public API as tuples of ints.
 
 Canonical text form: terms sorted by descending lexicographic order of their
 exponent vectors, e.g. ``x1*x3 + 2*x2 + 1``.  ``to_text`` and ``parse``
-round-trip bit-exactly.
+round-trip bit-exactly.  Polynomials are immutable, so ``zero``, ``one`` and
+``variable`` return one shared object per (slot, nvars).
 """
 
 from __future__ import annotations
@@ -141,6 +142,7 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    @cache
     def zero(cls, nvars: int) -> LaurentPolynomial:
         return cls({}, nvars)
 
@@ -149,10 +151,12 @@ class LaurentPolynomial:
         return cls.monomial(value, (0,) * nvars)
 
     @classmethod
+    @cache
     def one(cls, nvars: int) -> LaurentPolynomial:
         return cls.constant(1, nvars)
 
     @classmethod
+    @cache
     def variable(cls, slot: int, nvars: int) -> LaurentPolynomial:
         if not 0 <= slot < nvars:
             raise DimensionMismatchError(f"variable slot {slot} out of range for {nvars} variables")
@@ -403,6 +407,10 @@ class LaurentPolynomial:
         power of an assigned value raises PoleError unless the value is a
         nonzero monomial, and InexactDivisionError unless its coefficient is a
         unit.
+
+        Each value**power is computed once.  While its factors have at most
+        one term, a term only moves its packed key and scales its coefficient
+        (zero drops it; its slots are still all checked).
         """
         if assignment:
             sizes = {v.nvars for v in assignment.values()}
@@ -413,27 +421,44 @@ class LaurentPolynomial:
             target = self.nvars
 
         unpack = _unpacker(self.nvars)
-        result = LaurentPolynomial.zero(target)
+        zero = _zero_key(target)
+        low = zero >> 1
+        powers: dict[tuple[int, int], LaurentPolynomial] = {}  # (slot, power) -> value**power
+        out: dict[int, int] = {}
         for key, coeff in self._terms.items():
-            acc = LaurentPolynomial.constant(coeff, target)
+            shifted, acc = zero, None
             for slot, power in enumerate(unpack(key)):
                 if power == 0:
                     continue
-                value = assignment.get(slot)
-                if value is None:
-                    if slot >= target:
-                        raise DimensionMismatchError(
-                            f"unassigned slot {slot} does not exist in a {target}-variable ring"
+                factor = powers.get((slot, power))
+                if factor is None:
+                    value = assignment.get(slot)
+                    if value is None:
+                        if slot >= target:
+                            raise DimensionMismatchError(
+                                f"unassigned slot {slot} does not exist in a {target}-variable ring"
+                            )
+                        value = LaurentPolynomial.variable(slot, target)
+                    elif power < 0 and not value.is_monomial:
+                        raise PoleError(
+                            f"negative power of slot {slot} needs a nonzero monomial value; "
+                            "clear denominators first"
                         )
-                    value = LaurentPolynomial.variable(slot, target)
-                elif power < 0 and not value.is_monomial:
-                    raise PoleError(
-                        f"negative power of slot {slot} needs a nonzero monomial value; "
-                        "clear denominators first"
-                    )
-                acc = acc * value**power
-            result = result + acc
-        return result
+                    factor = powers[slot, power] = value**power
+                if acc is None and len(factor._terms) <= 1:
+                    # A zero factor drops the term.  Two keys in range add
+                    # without a carry between digits.
+                    (k, c), = factor._terms.items() or ((zero, 0),)
+                    shifted, coeff = shifted + k - zero, coeff * c
+                    if coeff and (shifted ^ (shifted >> 1)) & low != low:
+                        _check_range((shifted,), target)
+                    continue
+                if acc is None:
+                    acc = LaurentPolynomial._adopt({shifted: coeff} if coeff else {}, target)
+                acc = acc * factor
+            for k, c in acc._terms.items() if acc is not None else ((shifted, coeff),):
+                out[k] = out.get(k, 0) + c
+        return LaurentPolynomial._adopt({k: c for k, c in out.items() if c}, target)
 
     # -- numerator/denominator splitting -------------------------------------
 

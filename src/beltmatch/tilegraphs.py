@@ -312,14 +312,9 @@ class _GraphBuilder:
     def __init__(self, nvars: int, names: Sequence[str]):
         self.nvars = nvars
         self.names = tuple(names)
-        self.vertices: list[str] = []
+        self.vertices: dict[str, None] = {}  # an ordered set: first-seen order
         self.edges: list[MatchingEdge] = []
         self._seen: set[tuple[str, str]] = set()
-
-    def vertex(self, name: str) -> str:
-        if name not in self.vertices:
-            self.vertices.append(name)
-        return name
 
     def edge(self, u: str, v: str, weight: LaurentPolynomial | Weight) -> None:
         if isinstance(weight, LaurentPolynomial):
@@ -332,8 +327,8 @@ class _GraphBuilder:
         if key in self._seen:
             raise StructureError(f"duplicate edge {key}")
         self._seen.add(key)
-        self.vertex(u)
-        self.vertex(v)
+        self.vertices.setdefault(u)
+        self.vertices.setdefault(v)
         self.edges.append(MatchingEdge(u, v, poly))
 
     def build(self) -> MatchingGraph:

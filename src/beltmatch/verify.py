@@ -13,16 +13,20 @@ y_0 -> 0 are taken by exact division first and substitution second, never
 numerically, since setting y_0 = 0 too early produces 0/0.  The B_n tower
 reflection is checked on the same lattice, read from the other end
 (x_m = y_{n+2-m}).
+
+The lattice grid does not depend on the requested (family, rank); its strips
+are memoized by content per process, and each check evaluates its identity.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from functools import cache
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import PoleError
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, default_names
 from .matchenum import cluster_expansion, matching_polynomial
 from .mutation import belt, check_supported, exchange_matrix, noninitial_variables, variable_names
 from .tilegraphs import MatchingGraph, enumerate_family, strip_graph
@@ -161,20 +165,29 @@ def tile_strip(config: ExtendedLatticeConfig, lo: int, hi: int) -> MatchingGraph
     return strip_graph(pairs, config.nvars, config.names)
 
 
+@cache
+def _strip_polynomial(
+    pairs: tuple, nvars: int, monomial: LaurentPolynomial | None = None
+) -> LaurentPolynomial:
+    """P(strip_graph(pairs)), or the y_0 -> 0 limit of P / ``monomial``, memoized
+    by content (names do not change P); condensation centres share their strips."""
+    if monomial is None:
+        return matching_polynomial(strip_graph(pairs, nvars, default_names(nvars)))
+    quotient = _strip_polynomial(pairs, nvars) * monomial.monomial_inverse()
+    return quotient.substitute({0: LaurentPolynomial.zero(nvars)})
+
+
 def strip_limit(config: ExtendedLatticeConfig, lo: int, hi: int) -> LaurentPolynomial:
     """P(tiles lo..hi) divided exactly by the tile monomial, then y_0 sent
     to 0 (the exact limit); the empty strip is 1.
 
     Every tile weight is 1, -1 or +-y_i, so the tile monomial is +-y^e and
     dividing by it is multiplying by its inverse."""
-    one = LaurentPolynomial.one(config.nvars)
-    if lo > hi:
-        return one
-    monomial = one
+    monomial = LaurentPolynomial.one(config.nvars)
     for i in range(lo, hi + 1):
         monomial = monomial * config.weight(i)
-    quotient = matching_polynomial(tile_strip(config, lo, hi)) * monomial.monomial_inverse()
-    return quotient.substitute({0: LaurentPolynomial.zero(config.nvars)})
+    pairs = tuple((config.weight(i + 1), config.weight(i - 1)) for i in range(lo, hi + 1))
+    return _strip_polynomial(pairs, config.nvars, monomial)
 
 
 # -- condensation -------------------------------------------------------------------
@@ -201,11 +214,8 @@ def check_condensation(center: int, halfwidth: int) -> CheckResult:
         def y(m: int) -> LaurentPolynomial:
             return LaurentPolynomial.variable(m + shift - 1, nvars)
 
-        def strip(a: int, b: int) -> LaurentPolynomial:
-            if a > b:
-                return LaurentPolynomial.one(nvars)
-            pairs = [(y(t + 1), y(t - 1)) for t in range(a, b + 1)]
-            return matching_polynomial(strip_graph(pairs, nvars, names))
+        def strip(a: int, b: int) -> LaurentPolynomial:  # the empty strip (a > b) is 1
+            return _strip_polynomial(tuple((y(t + 1), y(t - 1)) for t in range(a, b + 1)), nvars)
 
         excess = LaurentPolynomial.one(nvars)
         for t in range(lo + 1, hi, 2):  # horizontal tiles of the G_0 matching
@@ -402,7 +412,7 @@ def check_belt_diamonds(family: str, rank: int) -> CheckResult:
                 if not usable:
                     continue
                 checked += 1
-                if a * d - monomial != one:
+                if a * d != monomial + one:
                     return False, {
                         "diamonds_checked": checked,
                         "counterexample": {

@@ -13,7 +13,7 @@ from beltmatch.errors import (
     InexactDivisionError,
     PoleError,
 )
-from beltmatch.laurent import MAX_EXPONENT, MIN_EXPONENT
+from beltmatch.laurent import MAX_EXPONENT, MIN_EXPONENT, _unpacker
 from beltmatch.laurent import LaurentPolynomial as LP
 
 
@@ -293,6 +293,52 @@ def test_min_exponents_memo_matches_a_fresh_scan(p, r):
         assert poly.split().numerator.min_exponents() == (0, 0, 0)
 
 
+# -- shared constructors --------------------------------------------------------------
+
+
+def test_cached_constructors_return_one_shared_object():
+    assert LP.zero(3) is LP.zero(3)
+    assert LP.one(3) is LP.one(3)
+    assert LP.variable(1, 3) is LP.variable(1, 3)
+    assert LP.one(3) == LP({(0, 0, 0): 1}, 3)
+    assert LP.zero(3) == LP({}, 3)
+    assert LP.variable(1, 3) == LP({(0, 1, 0): 1}, 3)
+    assert LP.one(2) != LP.one(3)
+    assert LP.constant(1, 3) is not LP.constant(1, 3)
+
+
+def test_operations_leave_the_shared_objects_unchanged():
+    zero, one, x2 = LP.zero(3), LP.one(3), LP.variable(1, 3)
+    before = [(q.nvars, q.terms()) for q in (zero, one, x2)]
+    p = parse3("x1^-1*x2 + 2*x3")
+    results = [
+        one + one, one + zero, zero + one, zero + zero, x2 + x2, one - one, -one, -x2,
+        one * p, p * one, one * x2, x2 * one, x2 * x2, zero * p, x2 * p,
+        one**0, one**3, x2**1, x2**-2, x2**5, zero**2,
+        (one * x2) + p, (x2**1) * p, (p * one).div_exact(one), x2.monomial_inverse(),
+        p.substitute({1: x2 + one}), zero.div_exact(x2),
+    ]
+    hash(zero), hash(one), hash(x2)
+    zero.min_exponents(), one.min_exponents(), x2.min_exponents()
+    for q in results:
+        q.min_exponents()
+        hash(q)
+    assert [(q.nvars, q.terms()) for q in (zero, one, x2)] == before
+    assert one.min_exponents() == (0, 0, 0)
+    assert x2.min_exponents() == (0, 1, 0)
+    assert zero.min_exponents() == (0, 0, 0)
+    assert hash(one) == hash(LP({(0, 0, 0): 1}, 3))
+
+
+def test_out_of_range_variable_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(DimensionMismatchError):
+            LP.variable(3, 3)
+        with pytest.raises(DimensionMismatchError):
+            LP.variable(-1, 3)
+    assert LP.variable(2, 3) == parse3("x3")
+
+
 # -- powers -------------------------------------------------------------------------
 
 
@@ -436,6 +482,91 @@ def test_substitute_matches_sympy(case):
         return
     image = to_sympy(p).subs({gens[s]: to_sympy(v) for s, v in assignment.items()}, simultaneous=True)
     assert same(p.substitute(assignment), image)
+
+
+def substitute_by_products(p: LP, assignment: dict[int, LP]) -> LP:
+    """Reference substitution: one polynomial product per term and slot.
+
+    It walks the terms in the same (internal) order as ``substitute``, so the
+    first term that raises is the same one on both routes."""
+    target = next(iter(assignment.values())).nvars if assignment else p.nvars
+    result = LP.zero(target)
+    for key, coeff in p._terms.items():
+        acc = LP.constant(coeff, target)
+        for slot, power in enumerate(_unpacker(p.nvars)(key)):
+            if power == 0:
+                continue
+            value = assignment.get(slot)
+            if value is None:
+                if slot >= target:
+                    raise DimensionMismatchError(
+                        f"unassigned slot {slot} does not exist in a {target}-variable ring"
+                    )
+                value = LP.variable(slot, target)
+            elif power < 0 and not value.is_monomial:
+                raise PoleError(
+                    f"negative power of slot {slot} needs a nonzero monomial value; "
+                    "clear denominators first"
+                )
+            acc = acc * value**power
+        result = result + acc
+    return result
+
+
+@st.composite
+def substitution_values(draw, nvars: int) -> LP:
+    """Zero, +-1, non-unit constants, +-variables, monomials and multi-term values."""
+    exps = st.tuples(*(st.integers(min_value=-2, max_value=2),) * nvars)
+    kind = draw(st.sampled_from(("zero", "unit", "constant", "variable", "monomial", "sum")))
+    if kind == "zero":
+        return LP.zero(nvars)
+    if kind == "unit":
+        return LP.constant(draw(st.sampled_from((1, -1))), nvars)
+    if kind == "constant":
+        return LP.constant(draw(st.sampled_from((2, -2, 3, -5))), nvars)
+    if kind == "variable":
+        x = LP.variable(draw(st.integers(min_value=0, max_value=nvars - 1)), nvars)
+        return x if draw(st.booleans()) else -x
+    if kind == "monomial":
+        return LP.monomial(draw(st.sampled_from((1, -1, 2, -3))), draw(exps))
+    return LP(draw(st.dictionaries(exps, coeffs, min_size=2, max_size=3)), nvars)
+
+
+@st.composite
+def ring_changing_substitutions(draw) -> tuple[LP, dict[int, LP]]:
+    """A polynomial with negative powers and an assignment into a ring that may
+    be larger or smaller; unassigned slots may lie at or beyond the target."""
+    (p,) = draw(ring_polys())
+    target = draw(st.integers(min_value=1, max_value=5))
+    slots = draw(st.sets(st.integers(min_value=0, max_value=p.nvars - 1)))
+    return p, {slot: draw(substitution_values(target)) for slot in sorted(slots)}
+
+
+def outcome(run):
+    try:
+        return run()
+    except (DimensionMismatchError, ExponentOverflowError, InexactDivisionError, PoleError) as exc:
+        return type(exc), str(exc)
+
+
+@given(ring_changing_substitutions())
+# Large exponents: a power that leaves the range while squaring, at the
+# product, at a monomial inverse, and a zero value that drops the term first.
+@example((parse2("x1^3"), {0: LP.monomial(1, (MAX_EXPONENT // 3 + 1, 0))}))
+@example((parse2("x1^2*x2"), {0: LP.monomial(1, (MAX_EXPONENT // 2, 0))}))
+@example((parse2("x1^2*x2^3"), {0: LP.zero(2), 1: LP.monomial(1, (0, MAX_EXPONENT // 2))}))
+@example((parse2("x1^-1"), {0: LP.monomial(-1, (MIN_EXPONENT, 0))}))
+@example((parse2("x1*x2^-1"), {0: LP.zero(2), 1: LP.monomial(1, (MIN_EXPONENT, 0))}))
+@example((parse2("x1^2*x2^-1"), {0: LP.monomial(1, (MAX_EXPONENT // 2, 1)), 1: LP.variable(1, 2)}))
+@example((parse2("x1*x2 + 2*x1^-1"), {0: parse2("x2 + 1")}))
+@example((parse2("x1*x2^-1 + 3"), {0: LP.zero(1), 1: LP.constant(2, 1)}))
+@example((parse3("x3*x1 + x2"), {0: LP.variable(0, 1)}))
+@settings(max_examples=300, deadline=None)
+def test_substitute_matches_the_product_route(case):
+    p, assignment = case
+    assert outcome(lambda: p.substitute(assignment)) == outcome(
+        lambda: substitute_by_products(p, assignment)
+    )
 
 
 @given(ring_terms())

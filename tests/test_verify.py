@@ -6,10 +6,16 @@ import json
 
 import pytest
 
+from beltmatch import verify
+from beltmatch.errors import PoleError
 from beltmatch.laurent import LaurentPolynomial as LP
-from beltmatch.matchenum import matching_polynomial
+from beltmatch.matchenum import matching_polynomial, strip_transfer_polynomial
 from beltmatch.mutation import noninitial_variables, variable_names
+from beltmatch.tilegraphs import strip_graph
 from beltmatch.verify import (
+    CENTERONE_GRID,
+    CONDENSATION_GRID,
+    EXCISION_A_GRID,
     EXCISION_B_GRID,
     ExtendedLatticeConfig,
     check_belt_diamonds,
@@ -153,3 +159,88 @@ def test_run_checks_all_and_report_json():
 def test_run_checks_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_checks("A", 2, ["theorems"])
+
+
+# -- the strip memo -------------------------------------------------------------------
+
+LATTICE_CHECKS = ["condensation", "centerone", "excision"]
+
+
+@pytest.fixture
+def cold_strip_memo():
+    memo = verify._strip_polynomial
+    memo.cache_clear()
+    yield
+    memo.cache_clear()
+
+
+def test_strip_memo_does_not_mask_a_faulty_matching(monkeypatch, cold_strip_memo):
+    real = verify.matching_polynomial
+
+    def off_by_one(graph):
+        return real(graph) + LP.one(graph.nvars)
+
+    monkeypatch.setattr(verify, "matching_polynomial", off_by_one)
+    report = run_checks("A", 2, LATTICE_CHECKS)
+    planned = len(CONDENSATION_GRID) + len(CENTERONE_GRID) + len(EXCISION_A_GRID + EXCISION_B_GRID)
+    assert len(report.checks) == planned
+    assert not report.passed
+    failed = {c.name.split("[")[0] for c in report.checks if not c.passed}
+    assert failed == set(LATTICE_CHECKS)
+
+
+def test_memoized_grid_strips_match_uncached_routes(monkeypatch, cold_strip_memo):
+    memo = verify._strip_polynomial
+    seen: set = set()
+
+    def recording(pairs, nvars, monomial=None):
+        seen.add((pairs, nvars))
+        return memo(pairs, nvars, monomial)
+
+    monkeypatch.setattr(verify, "_strip_polynomial", recording)
+    assert run_checks("A", 2, LATTICE_CHECKS).passed
+    # Centres -1, 0 and 4 of condensation build the same strips in the same ring.
+    info = memo.cache_info()
+    assert info.hits > 0
+    for pairs, nvars in seen:
+        names = tuple(f"z{i}" for i in range(nvars))
+        expected = memo(pairs, nvars)
+        assert expected == matching_polynomial(strip_graph(pairs, nvars, names))
+        assert expected == strip_transfer_polynomial(list(pairs), nvars)
+    # Every window of centerone and excision against the uncached tile strip.
+    windows = [
+        (ExtendedLatticeConfig(j + 3), -j, j + (2 if parity == "odd" else 1))
+        for j, parity in CENTERONE_GRID
+    ]
+    for scenario in EXCISION_A_GRID + EXCISION_B_GRID:
+        if scenario[0] == "A":
+            _, j, k = scenario
+            low, high = 2 - j, j + k
+        else:
+            _, n, a, b = scenario
+            low, high = n + 2 - b, n + 2 - a
+        config = ExtendedLatticeConfig(high + 1)
+        windows += [(config, low, high), (config, 3 - low, high), (config, 2 - low, high)]
+    for config, low, high in windows:
+        if low > high:
+            continue
+        raw = matching_polynomial(tile_strip(config, low, high))
+        pairs = tuple((config.weight(i + 1), config.weight(i - 1)) for i in range(low, high + 1))
+        assert memo(pairs, config.nvars) == raw
+        monomial = LP.one(config.nvars)
+        for i in range(low, high + 1):
+            monomial = monomial * config.weight(i)
+        try:
+            limit = strip_limit(config, low, high)
+        except PoleError:
+            with pytest.raises(PoleError):
+                raw.div_exact(monomial).substitute({0: LP.zero(config.nvars)})
+            continue
+        assert limit == raw.div_exact(monomial).substitute({0: LP.zero(config.nvars)})
+
+
+def test_run_checks_json_is_the_same_with_the_memo_cold_and_warm(cold_strip_memo):
+    cold = run_checks("B", 3, ["all"]).to_json()
+    warm = run_checks("B", 3, ["all"]).to_json()
+    assert verify._strip_polynomial.cache_info().hits > 0
+    assert cold == warm
