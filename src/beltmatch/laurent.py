@@ -446,8 +446,7 @@ class LaurentPolynomial:
                         )
                     factor = powers[slot, power] = value**power
                 if acc is None and len(factor._terms) <= 1:
-                    # A zero factor drops the term.  Two keys in range add
-                    # without a carry between digits.
+                    # A zero factor drops the term; in-range keys add without a carry.
                     (k, c), = factor._terms.items() or ((zero, 0),)
                     shifted, coeff = shifted + k - zero, coeff * c
                     if coeff and (shifted ^ (shifted >> 1)) & low != low:

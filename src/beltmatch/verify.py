@@ -13,9 +13,6 @@ y_0 -> 0 are taken by exact division first and substitution second, never
 numerically, since setting y_0 = 0 too early produces 0/0.  The B_n tower
 reflection is checked on the same lattice, read from the other end
 (x_m = y_{n+2-m}).
-
-The lattice grid does not depend on the requested (family, rank); its strips
-are memoized by content per process, and each check evaluates its identity.
 """
 
 from __future__ import annotations
@@ -169,8 +166,9 @@ def tile_strip(config: ExtendedLatticeConfig, lo: int, hi: int) -> MatchingGraph
 def _strip_polynomial(
     pairs: tuple, nvars: int, monomial: LaurentPolynomial | None = None
 ) -> LaurentPolynomial:
-    """P(strip_graph(pairs)), or the y_0 -> 0 limit of P / ``monomial``, memoized
-    by content (names do not change P); condensation centres share their strips."""
+    """P(strip_graph(pairs)), or the y_0 -> 0 limit of P / ``monomial``.  The lattice
+    grid does not depend on the requested (family, rank), so this is memoized by content
+    (names do not change P) for the process; each check still evaluates its identity."""
     if monomial is None:
         return matching_polynomial(strip_graph(pairs, nvars, default_names(nvars)))
     quotient = _strip_polynomial(pairs, nvars) * monomial.monomial_inverse()
@@ -183,7 +181,10 @@ def strip_limit(config: ExtendedLatticeConfig, lo: int, hi: int) -> LaurentPolyn
 
     Every tile weight is 1, -1 or +-y_i, so the tile monomial is +-y^e and
     dividing by it is multiplying by its inverse."""
-    monomial = LaurentPolynomial.one(config.nvars)
+    one = LaurentPolynomial.one(config.nvars)
+    if lo > hi:
+        return one
+    monomial = one
     for i in range(lo, hi + 1):
         monomial = monomial * config.weight(i)
     pairs = tuple((config.weight(i + 1), config.weight(i - 1)) for i in range(lo, hi + 1))
