@@ -12,6 +12,7 @@ Everything is exact integer arithmetic; there are no floats anywhere.
 
 from .errors import (
     BijectionError,
+    CheckSelectionError,
     DimensionMismatchError,
     ExponentOverflowError,
     InexactDivisionError,
@@ -64,6 +65,7 @@ from .verify import (
 __all__ = [
     "BeltLattice",
     "BijectionError",
+    "CheckSelectionError",
     "CartanSpec",
     "DimensionMismatchError",
     "ExchangeMatrix",

@@ -17,6 +17,10 @@ class UnsupportedTypeError(ValueError):
     """Unknown or out-of-range (family, rank) pair."""
 
 
+class CheckSelectionError(ValueError):
+    """A verify selection names an unknown check or plans none."""
+
+
 class BijectionError(RuntimeError):
     """A family/root correspondence that must be bijective is not."""
 

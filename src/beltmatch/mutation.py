@@ -2,17 +2,19 @@
 
 This is the oracle side of the package: exchange-matrix mutation, binomial
 seed exchange, and row-by-row generation of cluster variables by mutating
-all odd-labelled directions, then all even-labelled ones, repeatedly.
+all odd-labelled directions, then all even-labelled ones, in turn.
 
 The belt itself runs no seed mutation.  A bipartite sweep only negates the
 exchange matrix, so every step is the sign-free exchange
 x_k' = (prod_j x_j^|b_kj| + 1) / x_k read off the initial matrix.  The belt
-is periodic up to the Dynkin involution (``dynkin_involution``), so its
-period is grown from both ends: forward from the initial cluster (odd slots
-first) and backward from it (even slots first), where the late, shrinking
-variables are small.  Only the labels of the backward values rest on that
-periodicity, never the values themselves, and ``verify --checks diamonds``
-certifies every label, the seam included.
+is periodic up to the Dynkin involution (``dynkin_involution``), and its h
+sweeps (h the Coxeter number) hold each non-initial variable once.  So one
+period is built per (family, rank), from both ends: ceil(h/2) sweeps
+forward from the initial cluster (odd slots first) and floor(h/2) backward
+from it (even slots first), where the late, shrinking variables are small.
+Only the labels of the backward values rest on that periodicity, never the
+values themselves, and ``verify --checks diamonds`` certifies every label,
+the seam included.
 
 Every per-node convention is read off one Dynkin diagram per (family,
 rank): ``nodes`` gives the node each slot of the ambient ring holds (for
@@ -27,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
-from itertools import chain, cycle
+from itertools import chain, cycle, islice
 from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -314,8 +316,7 @@ def _noninitial_denominator(value: LaurentPolynomial) -> RootVector | None:
     """The denominator vector of a non-initial variable; None for an initial one.
 
     The denominator vector is the negated minimum exponent vector.  Initial
-    variables (and their reappearance at the end of the period) have a -1
-    entry; non-initial ones a nonzero nonnegative vector.
+    variables have a -1 entry; non-initial ones a nonzero nonnegative vector.
     """
     denominator = tuple(-m for m in value.min_exponents())
     if all(d >= 0 for d in denominator) and any(denominator):
@@ -345,86 +346,70 @@ def _sweeps(family: str, rank: int, groups: tuple[tuple[int, ...], ...]):
         yield tuple((k, cluster[k]) for k in group)
 
 
-def _terms(sweeps: list) -> int:
-    """Terms in the latest sweep of one side; 0 before its first."""
-    return sum(len(value) for _, value in sweeps[-1]) if sweeps else 0
+def _nonempty_sweeps(family: str, rank: int) -> int:
+    """Sweeps of one period that write a row: h, less A_1's empty even sweep."""
+    h = 2 * len(roots(family, rank)) // rank
+    return sum(1 for group in islice(cycle(parity_groups(family, rank)), h) if group)
 
 
 @cache
-def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
-    """Generate belt rows until the denominator vectors cover all positive roots.
+def _period(family: str, rank: int) -> tuple[BeltLattice, dict[RootVector, LaurentPolynomial]]:
+    """The belt lattice of one period and its variables keyed by denominator vector.
 
-    The h sweeps of one period (h = 2|roots|/n, the Coxeter number) are
-    grown from both ends of it.  One side runs forward from the initial
-    cluster, odd slots first; the other runs backward, even slots first,
-    and its sweep s is forward sweep h+1-s with each slot k moved to
-    epsilon(k) (``dynkin_involution``).  The side whose latest sweep has
-    fewer terms is extended until the two hold h sweeps between them; a
-    row cap below h is reached by the forward side alone.
-
-    The glued rows are then walked as the forward belt would be: exceeding
-    the row cap (default 2*(h+2) sweeps) without covering every positive
-    root raises IterationLimitError.  The lattice is immutable and cached
-    per (family, rank, max_rows).
+    Sweeps 1..ceil(h/2) run forward from the initial cluster; sweep h+1-s is
+    backward sweep s (even slots first) with each slot k moved to epsilon(k).
+    One walk computes each denominator once; variables that do not match the
+    positive roots one to one raise BijectionError.
     """
-    wanted = set(roots(family, rank))
+    wanted = roots(family, rank)
     h = 2 * len(wanted) // rank
-    cap = max_rows if max_rows is not None else 2 * (h + 2)
     odd, even = parity_groups(family, rank)
-    forward, backward = _sweeps(family, rank, (odd, even)), _sweeps(family, rank, (even, odd))
-    ahead, behind = [], []  # forward sweeps 1, 2, ...; backward sweeps 1, 2, ...
-    # A period takes h sweeps, so a lower cap is reached going forward alone.
-    while len(ahead) + len(behind) < min(h, cap):
-        if cap < h or _terms(ahead) <= _terms(behind):
-            ahead.append(next(forward))
-        else:
-            behind.append(next(backward))
     epsilon = dynkin_involution(family, rank)
-    glued = ahead + [
+    backward = [
         sorted(((epsilon[k], value) for k, value in sweep), key=itemgetter(0))
-        for sweep in reversed(behind)
+        for sweep in islice(_sweeps(family, rank, (even, odd)), h // 2)
     ]
+    glued = chain(islice(_sweeps(family, rank, (odd, even)), (h + 1) // 2), reversed(backward))
     rows = [
         tuple(BeltCell(k, 0, LaurentPolynomial.variable(k, rank)) for k in group)
         for group in (odd, even)
     ]
-    covered: set[RootVector] = set()
-    sweep = 0
-    while covered != wanted:
-        sweep += 1
-        # Past sweep h the belt only returns to epsilon of the initial
-        # cluster, so a period that does not cover never will.
-        if sweep > cap or sweep > h:
-            raise IterationLimitError(
-                f"belt for {family}_{rank} did not cover all positive roots in {cap} sweeps"
-            )
-        rows.append(tuple(BeltCell(k, sweep, value) for k, value in glued[sweep - 1]))
-        for cell in rows[-1]:
-            denominator = _noninitial_denominator(cell.value)
-            if denominator is not None:
-                covered.add(denominator)
-    values = {(cell.slot, cell.superscript): cell.value for row in rows for cell in row}
-    return BeltLattice(family, rank, tuple(rows), MappingProxyType(values))
-
-
-@cache
-def _variables(family: str, rank: int) -> dict[RootVector, LaurentPolynomial]:
-    out: dict[RootVector, LaurentPolynomial] = {}
-    for cell in chain.from_iterable(belt(family, rank).rows):
-        denominator = _noninitial_denominator(cell.value)
-        if denominator is None:
-            continue  # an initial variable, in the first two rows or at the end of the period
-        seen = out.get(denominator)
-        if seen is not None and seen != cell.value:
-            raise BijectionError(f"two distinct variables share denominator {denominator}")
-        out[denominator] = cell.value
-    if set(out) != set(roots(family, rank)):
+    variables: dict[RootVector, LaurentPolynomial] = {}
+    for sweep, cells in enumerate(glued, 1):
+        if not cells:
+            continue  # A_1's even sweep
+        rows.append(tuple(BeltCell(k, sweep, value) for k, value in cells))
+        for _, value in cells:
+            denominator = _noninitial_denominator(value)
+            if denominator is None:
+                continue  # an initial variable, which a sound period does not hold
+            seen = variables.get(denominator)
+            if seen is not None and seen != value:
+                raise BijectionError(f"two distinct variables share denominator {denominator}")
+            variables[denominator] = value
+    if set(variables) != set(wanted):
         raise BijectionError(
-            f"denominator vectors {sorted(out)} do not match the positive roots"
+            f"denominator vectors {sorted(variables)} do not match the positive roots"
         )
-    if len(set(out.values())) != len(out):
+    if len(set(variables.values())) != len(variables):
         raise BijectionError("cluster variables are not pairwise distinct")
-    return out
+    values = {(cell.slot, cell.superscript): cell.value for row in rows for cell in row}
+    return BeltLattice(family, rank, tuple(rows), MappingProxyType(values)), variables
+
+
+def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
+    """The belt lattice: the two initial rows, then one row per sweep of a period.
+
+    The period's h sweeps (h = 2|roots|/n, the Coxeter number) are built once
+    per (family, rank) and shared (``_period``).  They cover every positive
+    root, so ``max_rows`` is only a gate: a cap below the period's non-empty
+    sweeps (h, or 1 at A_1) raises IterationLimitError before any is built.
+    """
+    if max_rows is not None and max_rows < _nonempty_sweeps(family, rank):
+        raise IterationLimitError(
+            f"belt for {family}_{rank} did not cover all positive roots in {max_rows} sweeps"
+        )
+    return _period(family, rank)[0]
 
 
 def noninitial_variables(family: str, rank: int) -> dict[RootVector, LaurentPolynomial]:
@@ -433,4 +418,5 @@ def noninitial_variables(family: str, rank: int) -> dict[RootVector, LaurentPoly
     Exactly one entry per positive root, with pairwise distinct values;
     anything else raises BijectionError.  Each call returns a fresh dict.
     """
-    return dict(_variables(family, rank))
+    belt(family, rank)  # build the period inside ``belt``, so a span around it holds the sweeps
+    return dict(_period(family, rank)[1])

@@ -22,7 +22,7 @@ import time
 from functools import cache
 from typing import Any, Callable, NamedTuple, Sequence
 
-from .errors import PoleError
+from .errors import CheckSelectionError, PoleError
 from .laurent import LaurentPolynomial, default_names
 from .matchenum import cluster_expansion, matching_polynomial
 from .mutation import belt, check_supported, exchange_matrix, noninitial_variables, variable_names
@@ -460,13 +460,16 @@ def applicable_foldings(family: str, rank: int) -> tuple[tuple[str, int], ...]:
 def plan_checks(
     family: str, rank: int, selection: Sequence[str]
 ) -> list[tuple[Callable[..., CheckResult], tuple[Any, ...]]]:
-    """The selected checks as (check function, args) pairs; 'all' selects everything applicable."""
-    wanted = set(selection)
+    """The selected checks as (check function, args) pairs; 'all' selects everything applicable.
+
+    Blank names are skipped; an unknown name or an empty plan raises CheckSelectionError.
+    """
+    wanted = {name.strip() for name in selection} - {""}
+    unknown = wanted - set(CHECK_NAMES) - {"all"}
+    if unknown:
+        raise CheckSelectionError(f"unknown checks: {sorted(unknown)}")
     if "all" in wanted:
         wanted = set(CHECK_NAMES)
-    unknown = wanted - set(CHECK_NAMES)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
     plan: list[tuple[Callable[..., CheckResult], tuple[Any, ...]]] = []
     if "theorem" in wanted:
         plan.append((verify_theorem, (family, rank)))
@@ -480,6 +483,9 @@ def plan_checks(
         plan += [(check_excision, (scenario,)) for scenario in EXCISION_A_GRID + EXCISION_B_GRID]
     if "folding" in wanted:
         plan += [(check_folding, args) for args in applicable_foldings(family, rank)]
+    if not plan:
+        text = ",".join(selection)
+        raise CheckSelectionError(f"no check selected by {text!r} for {family}_{rank}")
     return plan
 
 

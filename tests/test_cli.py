@@ -217,6 +217,18 @@ def test_verify_unknown_check_is_a_usage_error(capsys):
     assert captured.err == "error: unknown checks: ['bogus']\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("checks", [",", " ", "folding", " , folding ,"])
+def test_verify_selection_of_no_check_is_a_usage_error(capsys, fmt, checks):
+    # A3 has no folding, and blank names select nothing: a run of no check
+    # must not report that all checks passed.
+    code = main(["verify", "--type", "A", "--rank", "3", "--checks", checks, "--format", fmt])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: no check selected by {checks!r} for A_3\n"
+
+
 def test_core_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # DimensionMismatchError is a ValueError raised by the arithmetic core: a
     # crash, which must not pass for a usage error (exit 2).

@@ -11,14 +11,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from beltmatch import mutation
-from beltmatch.errors import IterationLimitError, UnsupportedTypeError
+from beltmatch.errors import BijectionError, IterationLimitError, UnsupportedTypeError
 from beltmatch.laurent import LaurentPolynomial as LP
 from beltmatch.mutation import (
     BeltCell,
     ExchangeMatrix,
     Seed,
     _noninitial_denominator,
-    _variables,
+    _period,
     belt,
     exchange_matrix,
     initial_seed,
@@ -385,12 +385,97 @@ def test_two_ended_belt_keeps_the_row_cap(family, rank):
     )
 
 
+@pytest.fixture
+def cold_period():
+    """An empty period cache, emptied again afterwards so that no lattice
+    built under a monkeypatch outlives the test."""
+    _period.cache_clear()
+    yield
+    _period.cache_clear()
+
+
+def _coxeter_number(family: str, rank: int) -> int:
+    return 2 * len(roots(family, rank)) // rank
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_LADDER)
+def test_a_cap_below_the_period_fails_before_any_sweep(family, rank, monkeypatch, cold_period):
+    covering = len(_forward_belt(family, rank)) - 2
+
+    def no_sweeps(*args):
+        raise AssertionError("a sweep was built")
+
+    monkeypatch.setattr(mutation, "_sweeps", no_sweeps)
+    for cap in range(1, covering):
+        with pytest.raises(IterationLimitError) as capped:
+            belt(family, rank, max_rows=cap)
+        assert str(capped.value) == (
+            f"belt for {family}_{rank} did not cover all positive roots in {cap} sweeps"
+        )
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_LADDER)
+def test_a_cap_at_or_above_the_period_returns_the_shared_lattice(family, rank):
+    covering = len(_forward_belt(family, rank)) - 2
+    lattice = belt(family, rank)
+    for cap in (covering, covering + 1, 2 * (_coxeter_number(family, rank) + 2), 10**9):
+        assert belt(family, rank, max_rows=cap) is lattice
+    assert belt(family, rank, None) is lattice
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_LADDER)
+def test_the_period_takes_half_its_sweeps_from_each_end(family, rank, monkeypatch, cold_period):
+    odd, even = parity_groups(family, rank)
+    pulled = {(odd, even): 0, (even, odd): 0}
+    sweeps = mutation._sweeps
+
+    def counted(family, rank, groups):
+        for sweep in sweeps(family, rank, groups):
+            pulled[groups] += 1
+            yield sweep
+
+    monkeypatch.setattr(mutation, "_sweeps", counted)
+    belt(family, rank)
+    h = _coxeter_number(family, rank)
+    assert pulled == {(odd, even): (h + 1) // 2, (even, odd): h // 2}
+
+
+def test_a1_cap_of_one_sweep_succeeds():
+    lattice = belt("A", 1, max_rows=1)
+    assert lattice is belt("A", 1)
+    assert [len(row) for row in lattice.rows] == [1, 0, 1]
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("D", 5), ("G2", 2)])
+def test_a_duplicated_value_fails_the_period_walk(family, rank, monkeypatch, cold_period):
+    # The second forward sweep repeats a value of the first in place of its
+    # own first value, so one positive root is left without a variable.
+    sweeps = mutation._sweeps
+    odd, even = parity_groups(family, rank)
+
+    def duplicating(family, rank, groups):
+        generated = sweeps(family, rank, groups)
+        if groups != (odd, even):
+            yield from generated
+            return
+        first = next(generated)
+        yield first
+        (slot, _), *rest = next(generated)
+        yield ((slot, first[0][1]), *rest)
+        yield from generated
+
+    monkeypatch.setattr(mutation, "_sweeps", duplicating)
+    with pytest.raises(BijectionError):
+        belt(family, rank)
+    with pytest.raises(BijectionError):
+        noninitial_variables(family, rank)
+
+
 def test_diamonds_catch_backward_values_placed_without_the_involution(monkeypatch):
     # Only the labels of the backward values rest on periodicity; the diamond
     # check is their certificate, so a wrong epsilon must fail it.
     def clear():
-        belt.cache_clear()
-        _variables.cache_clear()
+        _period.cache_clear()
 
     clear()
     monkeypatch.setattr(mutation, "dynkin_involution", lambda family, rank: tuple(range(rank)))
@@ -441,6 +526,6 @@ def test_cached_results_cannot_be_corrupted_by_callers():
     first = noninitial_variables("B", 3)
     first.clear()
     first[(9, 9, 9)] = LP.one(3)
-    assert noninitial_variables("B", 3) == _variables.__wrapped__("B", 3)
+    assert noninitial_variables("B", 3) == _period.__wrapped__("B", 3)[1]
     with pytest.raises(TypeError):
         belt("B", 3).values[(0, 0)] = LP.one(3)

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from beltmatch import verify
-from beltmatch.errors import PoleError
+from beltmatch.errors import CheckSelectionError, PoleError
 from beltmatch.laurent import LaurentPolynomial as LP
 from beltmatch.matchenum import matching_polynomial, strip_transfer_polynomial
 from beltmatch.mutation import noninitial_variables, variable_names
@@ -25,6 +25,7 @@ from beltmatch.verify import (
     check_folding,
     folding_assignment_a_to_c,
     folding_assignment_d_to_b,
+    plan_checks,
     run_checks,
     strip_limit,
     tile_strip,
@@ -159,6 +160,12 @@ def test_run_checks_all_and_report_json():
 def test_run_checks_rejects_unknown_names():
     with pytest.raises(ValueError):
         run_checks("A", 2, ["theorems"])
+
+
+@pytest.mark.parametrize("selection", [["all", "theorems"], [], ["", " "], ["folding"]])
+def test_plan_checks_rejects_a_selection_that_plans_nothing_or_names_an_unknown_check(selection):
+    with pytest.raises(CheckSelectionError):
+        plan_checks("A", 3, selection)
 
 
 # -- the strip memo -------------------------------------------------------------------
