@@ -21,8 +21,10 @@ never wraps.  Exponent vectors cross the public API as tuples of ints.
 
 Canonical text form: terms sorted by descending lexicographic order of their
 exponent vectors, e.g. ``x1*x3 + 2*x2 + 1``.  ``to_text`` and ``parse``
-round-trip bit-exactly.  Polynomials are immutable, so ``zero``, ``one`` and
-``variable`` return one shared object per (slot, nvars).
+round-trip bit-exactly.  ``to_text`` renders the high and the low half of
+each key's digits apart, each distinct half once per call.  Polynomials are
+immutable, so ``zero``, ``one`` and ``variable`` return one shared object per
+(slot, nvars).
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import re
 import struct
 from functools import cache
 from heapq import heapify, heappop, heappush
-from operator import add, getitem, index, sub
+from operator import add, index, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionMismatchError, ExponentOverflowError, InexactDivisionError, PoleError
@@ -98,11 +100,13 @@ def _check_range(keys: Iterable[int], nvars: int) -> None:
     """Raise ExponentOverflowError unless every digit of every key is in range.
 
     The keys must not have carried between digits, which holds for a sum or
-    difference of two keys in range.  A digit is in range exactly when its
-    top two bits differ (01... or 10...)."""
-    low = _zero_key(nvars) >> 1
+    difference of two keys in range.  A digit ``e + EXPONENT_BIAS`` is in
+    range exactly when adding ``EXPONENT_BIAS // 2`` to it sets its top bit,
+    so one addition and one mask test every digit of a key."""
+    zero = _zero_key(nvars)
+    half = zero >> 1
     for key in keys:
-        if (key ^ (key >> 1)) & low != low:
+        if (key + half) & zero != zero:
             raise ExponentOverflowError(
                 f"exponent vector {_unpacker(nvars)(key)} is outside "
                 f"[{MIN_EXPONENT}, {MAX_EXPONENT}]"
@@ -238,16 +242,19 @@ class LaurentPolynomial:
         big, small = self, other
         if len(big._terms) < len(small._terms):
             big, small = small, big
-        out = dict(big._terms)
-        get = out.get
         cancelled = False
-        for key, coeff in small._terms.items():
-            new = get(key, 0) + coeff
-            if new:
-                out[key] = new
-            else:
-                del out[key]
-                cancelled = True
+        if big._terms.keys().isdisjoint(small._terms):
+            out = {**big._terms, **small._terms}
+        else:
+            out = dict(big._terms)
+            get = out.get
+            for key, coeff in small._terms.items():
+                new = get(key, 0) + coeff
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+                    cancelled = True
         # Unless a key cancelled, the sum's keys are the union of the
         # operands' keys, so its minimum exponents are the componentwise
         # minimum.  An operand with no terms contributes none: the all-zero
@@ -308,6 +315,16 @@ class LaurentPolynomial:
             return self.monomial_inverse() ** (-power)
         if power == 0:
             return LaurentPolynomial.one(self.nvars)
+        if power > 1 and len(self._terms) > 1:
+            # Z[x^±1] is a domain, so each extreme exponent of the power is
+            # power times the base's: check them before any product.
+            columns = tuple(zip(*map(_unpacker(self.nvars), self._terms)))
+            for extreme in (min, max):
+                exps = tuple(power * extreme(column) for column in columns)
+                if not all(MIN_EXPONENT <= e <= MAX_EXPONENT for e in exps):
+                    raise ExponentOverflowError(
+                        f"exponent vector {exps} is outside [{MIN_EXPONENT}, {MAX_EXPONENT}]"
+                    )
         # Right-to-left binary powering: the result starts as the power of the
         # lowest set bit, and the base is squared only while bits remain, so
         # power 1 costs no product and power 3 costs two.
@@ -483,17 +500,26 @@ class LaurentPolynomial:
     # -- text form -------------------------------------------------------------
 
     def to_text(self, names: Sequence[str] | None = None) -> str:
+        """The canonical text form.  Each key is cut into its high ``nvars // 2``
+        digits and the rest, each a key of a smaller ring and each rendered the
+        first time it is met, so a term costs two dict lookups and one join."""
         terms = self._terms
         if not terms:
             return "0"
-        names = tuple(names) if names is not None else default_names(self.nvars)
-        tables = [_Factors(name) for name in names]
-        unpack = _unpacker(self.nvars)
+        nvars = self.nvars
+        names = tuple(names) if names is not None else default_names(nvars)
+        if len(names) < nvars:
+            raise DimensionMismatchError(f"{len(names)} names for {nvars} variables")
+        cut = nvars // 2
+        shift = DIGIT_BITS * (nvars - cut)
+        mask = (1 << shift) - 1
+        high, low = _Monomials(names[:cut]), _Monomials(names[cut:nvars])
         pieces: list[str] = []
         for key in sorted(terms, reverse=True):
             coeff = terms[key]
             magnitude = abs(coeff)
-            body = _monomial_text(tables, unpack(key))
+            h, l = high[key >> shift], low[key & mask]
+            body = f"{h}*{l}" if h and l else h or l
             if not body:
                 body = str(magnitude)
             elif magnitude != 1:
@@ -535,24 +561,25 @@ class LaurentPolynomial:
         return cls(terms, nvars)
 
 
-class _Factors(dict):
-    """Exponent -> factor string of one variable: ``""`` for 0, the name for
-    1 and ``name^e`` otherwise, each built the first time it is asked for."""
+class _Monomials(dict):
+    """Key of the ring of ``names`` -> ``_monomial_text`` of its exponent
+    vector, each built the first time it is asked for."""
 
-    __slots__ = ("name",)
+    __slots__ = ("names", "unpack")
 
-    def __init__(self, name: str):
-        super().__init__({0: "", 1: name})
-        self.name = name
+    def __init__(self, names: Sequence[str]):
+        super().__init__()
+        self.names = names
+        self.unpack = _unpacker(len(names))
 
-    def __missing__(self, e: int) -> str:
-        text = self[e] = f"{self.name}^{e}"
+    def __missing__(self, key: int) -> str:
+        text = self[key] = _monomial_text(self.names, self.unpack(key))
         return text
 
 
-def _monomial_text(tables: Sequence[_Factors], exps: Iterable[int]) -> str:
+def _monomial_text(names: Sequence[str], exps: Iterable[int]) -> str:
     """The ``*``-joined factors of a monomial; ``""`` for the constant one."""
-    return "*".join(filter(None, map(getitem, tables, exps)))
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e)
 
 
 def _split_terms(text: str) -> Iterable[tuple[int, str]]:
@@ -592,7 +619,7 @@ class MonomialFactorization(NamedTuple):
 
     def over_denominator(self, numerator: str, names: Sequence[str]) -> str:
         """``to_text`` given the numerator already rendered with ``names``."""
-        denominator = _monomial_text([_Factors(name) for name in names], self.denominator)
+        denominator = _monomial_text(names, self.denominator)
         if not denominator:
             return numerator
         if len(self.numerator) > 1:

@@ -17,6 +17,12 @@ every per-node convention (labels, sweep parity, exchange matrix, tile
 slots) came to be derived from one node table.  A_1 pins the blank line of
 its empty even initial row, B_2 and C_2 a double bond at rank 2, and D_5 an
 odd sweep holding 1, 1bar and 3.
+
+The text-format expansions of the highest roots of A_12 and D_9 and the B_5
+belt text were added before ``to_text`` came to render each key as a high and
+a low half of its digits.  A_12 splits its 12 variables evenly, D_9 unevenly
+(4 high, 5 low), and the B_5 belt renders many small polynomials over a
+denominator.
 """
 
 from __future__ import annotations
@@ -140,6 +146,9 @@ STDOUT_DIGESTS = {
     "variables --type D --rank 5 --format text": (0, "e88f8fb1f77c36d4871de0a8ce0d4a67f1e8fe1f1586bd143844ffaff5014de9"),
     "graphs --type D --rank 5 --format json": (0, "b87f3ab4348de3b1f8f0308f62f41331c955d7eb29e6aab3a6297653edb00db7"),
     "graphs --type D --rank 5 --format text": (0, "50cac5221830d969706eb67140d2da9e9d0230ffa65c6d3081f59fb954160a8f"),
+    "expand --type A --rank 12 --root 1,1,1,1,1,1,1,1,1,1,1,1 --format text": (0, "82885181e2539a3cb62115a58d74fdf004648439c41d149159e74e9884445a09"),
+    "expand --type D --rank 9 --root 1,1,2,2,2,2,2,2,1 --format text": (0, "c9a0f6d744c367147887650bfecd5515c8082feebc23ebb9b8f86477d0dd07c6"),
+    "belt --type B --rank 5 --format text": (0, "31605bf283c6138dbb103c0fa2c7bc4f21b42eda17894e5acb4fa5c214b8e2fa"),
 }
 DOT_DIR_DIGESTS = {
     "A3": (0, "b9f6f2885398c4f0edead7c890efddb356118ebae1d0d5600d37e5815f4348fc"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 import sympy
 from hypothesis import example, given, settings
@@ -13,7 +15,7 @@ from beltmatch.errors import (
     InexactDivisionError,
     PoleError,
 )
-from beltmatch.laurent import MAX_EXPONENT, MIN_EXPONENT, _unpacker
+from beltmatch.laurent import MAX_EXPONENT, MIN_EXPONENT, _unpacker, default_names
 from beltmatch.laurent import LaurentPolynomial as LP
 
 
@@ -339,6 +341,56 @@ def test_out_of_range_variable_raises_on_every_call():
     assert LP.variable(2, 3) == parse3("x3")
 
 
+# -- sums -------------------------------------------------------------------------
+
+
+@st.composite
+def disjoint_pairs(draw) -> tuple[LP, LP]:
+    """Two polynomials in 1 to 4 variables with no key in common."""
+    nvars = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*(st.integers(min_value=-3, max_value=3),) * nvars)
+    terms = draw(st.dictionaries(exps, coeffs.filter(bool), max_size=8))
+    left = draw(st.sets(st.sampled_from(sorted(terms)))) if terms else set()
+    return (
+        LP({e: c for e, c in terms.items() if e in left}, nvars),
+        LP({e: c for e, c in terms.items() if e not in left}, nvars),
+    )
+
+
+@given(disjoint_pairs())
+@example((LP.zero(2), parse2("x1 - x2^-1")))
+def test_disjoint_sum_is_the_loop_sum_with_the_same_minimums(pq):
+    p, q = pq
+    p.min_exponents()
+    q.min_exponents()
+    big, small = (p, q) if len(p) >= len(q) else (q, p)
+    loop = dict(big._terms)
+    for key, coeff in small._terms.items():
+        loop[key] = loop.get(key, 0) + coeff
+    total = p + q
+    assert list(total._terms.items()) == list(loop.items())
+    if p and q:
+        assert total._mins == tuple(map(min, p.min_exponents(), q.min_exponents()))
+    else:
+        assert total._mins == big._mins
+
+
+def test_cancelling_sum_carries_no_minimums():
+    p, q = parse3("x1^-2 + x3"), parse3("x2 - x1^-2")
+    p.min_exponents()
+    q.min_exponents()
+    total = p + q
+    assert total == parse3("x3 + x2")
+    # The cancelled key held x1's minimum, so it must be scanned afresh.
+    assert total._mins is None
+    assert total.min_exponents() == (0, 0, 0)
+    r = parse3("x1^-2 - x2^-1")
+    r.min_exponents()
+    overlapping = p + r
+    assert overlapping == parse3("2*x1^-2 + x3 - x2^-1")
+    assert overlapping._mins == (-2, -1, 0)
+
+
 # -- powers -------------------------------------------------------------------------
 
 
@@ -358,6 +410,27 @@ def test_pow_makes_no_wasted_products(monkeypatch, power, products):
     monkeypatch.setattr(LP, "__mul__", counting_mul)
     assert p**power == expected
     assert len(calls) == products
+
+
+@pytest.mark.parametrize(
+    "text, nvars, power, exps",
+    [
+        ("x1 + 1", 1, MAX_EXPONENT + 1, (MAX_EXPONENT + 1,)),
+        ("x1^-1 + x2", 2, 1 - MIN_EXPONENT, (MIN_EXPONENT - 1, 0)),
+        ("x1*x2^-1 + x2^2", 2, 1 << 29, (1 << 29, 1 << 30)),
+    ],
+)
+def test_pow_out_of_range_fails_before_any_product(monkeypatch, text, nvars, power, exps):
+    def no_products(self, other):
+        pytest.fail("a power left the exponent range only after forming products")
+
+    base = LP.parse(text, nvars)
+    monkeypatch.setattr(LP, "__mul__", no_products)
+    message = re.escape(f"exponent vector {exps} is outside [{MIN_EXPONENT}, {MAX_EXPONENT}]")
+    with pytest.raises(ExponentOverflowError, match=message):
+        base**power
+    with pytest.raises(ExponentOverflowError):
+        LP.parse(f"x1^{MAX_EXPONENT}", 1).substitute({0: LP.parse("x1^2 + 1", 1)})
 
 
 # -- differential tests against sympy --------------------------------------------------
@@ -620,6 +693,28 @@ def test_mul_range_boundaries():
         LP.monomial(1, (0, MAX_EXPONENT)) * parse2("x2 + 1")
 
 
+@pytest.mark.parametrize("slot", [0, 2])
+@pytest.mark.parametrize("bound, step", [(MAX_EXPONENT, 1), (MIN_EXPONENT, -1)])
+def test_one_digit_out_of_range_is_named(slot, bound, step):
+    # Every other key of each product is in range, so the message must name
+    # the one key past the bound, at the first and at the last digit.
+    def at(e: int) -> tuple[int, int, int]:
+        exps = [0, 0, 0]
+        exps[slot] = e
+        return tuple(exps)
+
+    edge, other = LP.monomial(1, at(bound)), LP.variable(1, 3)
+    message = re.escape(f"exponent vector {at(bound + step)} is outside [{MIN_EXPONENT}, {MAX_EXPONENT}]")
+    shift = LP.monomial(1, at(step))
+    for product in (
+        lambda: edge * shift,
+        lambda: (edge + other) * shift,
+        lambda: (edge + LP.one(3)) * (shift + other),
+    ):
+        with pytest.raises(ExponentOverflowError, match=message):
+            product()
+
+
 def test_pow_range_boundaries():
     step = MAX_EXPONENT // 3
     assert x1(step) ** 3 == x1(3 * step)
@@ -695,3 +790,40 @@ def test_to_text_matches_a_plain_terms_renderer(ps):
     assert p.to_text() == reference_text(p, tuple(f"x{i + 1}" for i in range(p.nvars)))
     names = tuple(f"y{i}" for i in range(p.nvars))
     assert p.to_text(names) == reference_text(p, names)
+
+
+@st.composite
+def wide_rings(draw) -> tuple[LP, tuple[str, ...]]:
+    """A polynomial in 0 to 25 variables, with exponents at the range bounds,
+    coefficients up to 10^30 and custom variable names."""
+    nvars = draw(st.integers(min_value=0, max_value=25))
+    exponent = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([MIN_EXPONENT, MIN_EXPONENT + 1, MAX_EXPONENT - 1, MAX_EXPONENT]),
+    )
+    coeff = st.one_of(coeffs, st.integers(min_value=-(10**30), max_value=10**30))
+    terms = draw(st.dictionaries(st.tuples(*(exponent,) * nvars), coeff, max_size=8))
+    # A letter prefix and the slot number: distinct names of varied lengths.
+    prefix = st.text("abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=4).filter(lambda t: t[0] != "_")
+    return LP(terms, nvars), tuple(f"{draw(prefix)}{i}" for i in range(nvars))
+
+
+@given(wide_rings())
+@example((LP.zero(0), ()))
+@example((LP.constant(-(10**30), 0), ()))
+@example((LP.monomial(7, (MIN_EXPONENT,)), ("t",)))
+@example((LP.parse(f"x1^{MAX_EXPONENT} - x2 + 1", 2), ("a", "b")))
+@example((LP.parse(f"x2^{MIN_EXPONENT}*x3 + 3*x1", 3), ("p", "q", "r")))
+@example((LP.monomial(-1, (1,) * 25) + LP.monomial(1, (MAX_EXPONENT,) + (0,) * 23 + (MIN_EXPONENT,)), default_names(25)))
+def test_to_text_matches_a_plain_renderer_at_every_split(ring):
+    # The high half of a key holds nvars // 2 variables and the low half the
+    # rest: both empty, one empty, equal and odd splits are all drawn.
+    p, names = ring
+    assert p.to_text(names) == reference_text(p, names)
+    assert p.to_text() == reference_text(p, default_names(p.nvars))
+    assert LP.parse(p.to_text(names), p.nvars, names) == p
+
+
+def test_to_text_rejects_too_few_names():
+    with pytest.raises(DimensionMismatchError):
+        parse3("x1 + x3").to_text(("a", "b"))
