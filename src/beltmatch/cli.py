@@ -5,7 +5,9 @@ primary output format; the text format renders the same data.  All output
 is deterministic (terms and records sorted canonically).  ``verify --jobs N``
 (N >= 1) is accepted for compatibility only: checks always run one at a
 time, so N changes nothing.  Exit codes: 0 success / all checks pass, 1 a
-verification check failed or raised, 2 usage error or an unwritable output path.
+verification check failed or raised, 2 usage error or an unwritable output
+path, 3 a crash: any other exception a command raises, whose traceback goes
+to stderr while stdout stays empty.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .tilegraphs import enumerate_family, graph_for_root, realize, tilegraph_to_
 from .verify import run_checks
 
 USAGE_ERROR = 2
+CRASH = 3
 
 
 def _parse_root(text: str, rank: int) -> tuple[int, ...]:
@@ -235,6 +238,10 @@ def main(argv: list[str] | None = None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception:
+        import traceback  # only a crash pays for the import
+        traceback.print_exc()
+        return CRASH
     if args.out is None:
         print(output)
     return code

@@ -21,8 +21,9 @@ never wraps.  Exponent vectors cross the public API as tuples of ints.
 
 Canonical text form: terms sorted by descending lexicographic order of their
 exponent vectors, e.g. ``x1*x3 + 2*x2 + 1``.  ``to_text`` and ``parse``
-round-trip bit-exactly.  ``to_text`` renders the high and the low half of
-each key's digits apart, each distinct half once per call.  Polynomials are
+round-trip bit-exactly.  ``to_text`` renders, and ``rename`` permutes, the
+high and the low half of each key's digits apart, each distinct half once
+per call.  Polynomials are
 immutable, so ``zero``, ``one`` and ``variable`` return one shared object per
 (slot, nvars).
 """
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import re
 import struct
-from functools import cache
+from functools import cache, partial
 from heapq import heapify, heappop, heappush
 from operator import add, index, sub
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
@@ -476,6 +477,28 @@ class LaurentPolynomial:
                 out[k] = out.get(k, 0) + c
         return LaurentPolynomial._adopt({k: c for k, c in out.items() if c}, target)
 
+    def rename(self, perm: Sequence[int]) -> LaurentPolynomial:
+        """The image under x_i -> x_perm[i], for a permutation ``perm`` of the
+        slots.  As in ``to_text``, each key is cut into its high and low
+        digits, and each distinct half is moved once per call; the minimum
+        exponents move along."""
+        nvars = self.nvars
+        if sorted(perm) != list(range(nvars)):
+            raise ValueError(f"{tuple(perm)} is not a permutation of {nvars} slots")
+        cut = nvars // 2
+        shift = DIGIT_BITS * (nvars - cut)
+        mask = (1 << shift) - 1
+
+        def mover(slots: range) -> Callable[[ExponentVector], int]:
+            places = [DIGIT_BITS * (nvars - 1 - perm[i]) for i in slots]
+            return lambda exps: sum((e + EXPONENT_BIAS) << p for e, p in zip(exps, places))
+
+        high = _Halves(cut, mover(range(cut)))
+        low = _Halves(nvars - cut, mover(range(cut, nvars)))
+        terms = {high[k >> shift] + low[k & mask]: c for k, c in self._terms.items()}
+        mins = self.min_exponents()
+        return LaurentPolynomial._adopt(terms, nvars, tuple(mins[perm.index(j)] for j in range(nvars)))
+
     # -- numerator/denominator splitting -------------------------------------
 
     def split(self) -> MonomialFactorization:
@@ -513,7 +536,8 @@ class LaurentPolynomial:
         cut = nvars // 2
         shift = DIGIT_BITS * (nvars - cut)
         mask = (1 << shift) - 1
-        high, low = _Monomials(names[:cut]), _Monomials(names[cut:nvars])
+        high = _Halves(cut, partial(_monomial_text, names[:cut]))
+        low = _Halves(nvars - cut, partial(_monomial_text, names[cut:nvars]))
         pieces: list[str] = []
         for key in sorted(terms, reverse=True):
             coeff = terms[key]
@@ -561,20 +585,20 @@ class LaurentPolynomial:
         return cls(terms, nvars)
 
 
-class _Monomials(dict):
-    """Key of the ring of ``names`` -> ``_monomial_text`` of its exponent
-    vector, each built the first time it is asked for."""
+class _Halves(dict):
+    """Key of a ``width``-variable ring -> ``make`` of its exponent vector,
+    each made the first time it is asked for."""
 
-    __slots__ = ("names", "unpack")
+    __slots__ = ("make", "unpack")
 
-    def __init__(self, names: Sequence[str]):
+    def __init__(self, width: int, make: Callable[[ExponentVector], object]):
         super().__init__()
-        self.names = names
-        self.unpack = _unpacker(len(names))
+        self.make = make
+        self.unpack = _unpacker(width)
 
-    def __missing__(self, key: int) -> str:
-        text = self[key] = _monomial_text(self.names, self.unpack(key))
-        return text
+    def __missing__(self, key: int):
+        value = self[key] = self.make(self.unpack(key))
+        return value
 
 
 def _monomial_text(names: Sequence[str], exps: Iterable[int]) -> str:

@@ -12,9 +12,11 @@ sweeps (h the Coxeter number) hold each non-initial variable once.  So one
 period is built per (family, rank), from both ends: ceil(h/2) sweeps
 forward from the initial cluster (odd slots first) and floor(h/2) backward
 from it (even slots first), where the late, shrinking variables are small.
-Only the labels of the backward values rest on that periodicity, never the
-values themselves, and ``verify --checks diamonds`` certifies every label,
-the seam included.
+Epsilon fixes the initial seed too, so the belt divides once per epsilon-
+orbit of cells and fills the other cell by renaming x_i -> x_epsilon(i)
+(``_sweeps``, ``_period``).  The backward labels and the mirrored values
+rest on that symmetry; the denominator walk, ``verify --checks theorem``
+and ``diamonds`` (every exchange, the seam included) certify every cell.
 
 Every per-node convention is read off one Dynkin diagram per (family,
 rank): ``nodes`` gives the node each slot of the ambient ring holds (for
@@ -330,15 +332,21 @@ def _sweeps(family: str, rank: int, groups: tuple[tuple[int, ...], ...]):
 
     The slots of a group are pairwise non-adjacent and a full sweep negates
     the exchange matrix, so row k keeps its initial magnitudes and one side
-    of every exchange binomial is 1.
+    of every exchange binomial is 1.  Epsilon fixes the initial seed, so a
+    slot k with epsilon(k) < k in its group (A_n and D_n, n odd) takes the
+    image of slot epsilon(k) and divides nothing.
     """
     neighbours = [
         [(j, abs(b)) for j, b in enumerate(row) if b] for row in exchange_matrix(family, rank)
     ]
+    epsilon = dynkin_involution(family, rank)
     one = LaurentPolynomial.one(rank)
     cluster = [LaurentPolynomial.variable(i, rank) for i in range(rank)]
     for group in cycle(groups):
         for k in group:
+            if epsilon[k] < k and epsilon[k] in group:
+                cluster[k] = cluster[epsilon[k]].rename(epsilon)
+                continue
             monomial = one
             for j, b in neighbours[k]:
                 monomial = monomial * cluster[j] ** b
@@ -358,6 +366,9 @@ def _period(family: str, rank: int) -> tuple[BeltLattice, dict[RootVector, Laure
 
     Sweeps 1..ceil(h/2) run forward from the initial cluster; sweep h+1-s is
     backward sweep s (even slots first) with each slot k moved to epsilon(k).
+    Where epsilon swaps the parity groups (A_n, n even), sweep h+1-s is the
+    epsilon-image of forward sweep s, slot for slot, and no backward sweep
+    is built; the middle sweep, its own image, is still divided out.
     One walk computes each denominator once; variables that do not match the
     positive roots one to one raise BijectionError.
     """
@@ -365,11 +376,15 @@ def _period(family: str, rank: int) -> tuple[BeltLattice, dict[RootVector, Laure
     h = 2 * len(wanted) // rank
     odd, even = parity_groups(family, rank)
     epsilon = dynkin_involution(family, rank)
-    backward = [
-        sorted(((epsilon[k], value) for k, value in sweep), key=itemgetter(0))
-        for sweep in islice(_sweeps(family, rank, (even, odd)), h // 2)
-    ]
-    glued = chain(islice(_sweeps(family, rank, (odd, even)), (h + 1) // 2), reversed(backward))
+    forward = list(islice(_sweeps(family, rank, (odd, even)), (h + 1) // 2))
+    if sorted(epsilon[k] for k in odd) == list(even):
+        backward = [[(k, value.rename(epsilon)) for k, value in sweep] for sweep in forward[: h // 2]]
+    else:
+        backward = [
+            sorted(((epsilon[k], value) for k, value in sweep), key=itemgetter(0))
+            for sweep in islice(_sweeps(family, rank, (even, odd)), h // 2)
+        ]
+    glued = chain(forward, reversed(backward))
     rows = [
         tuple(BeltCell(k, 0, LaurentPolynomial.variable(k, rank)) for k in group)
         for group in (odd, even)

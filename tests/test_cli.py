@@ -231,14 +231,38 @@ def test_verify_selection_of_no_check_is_a_usage_error(capsys, fmt, checks):
 
 def test_core_value_error_is_not_a_usage_error(capsys, monkeypatch):
     # DimensionMismatchError is a ValueError raised by the arithmetic core: a
-    # crash, which must not pass for a usage error (exit 2).
+    # crash, which must pass neither for a failed check (exit 1) nor for a
+    # usage error (exit 2).  It exits 3 with its traceback on stderr and
+    # nothing on stdout.
     def broken(*args):
         raise DimensionMismatchError("operands have 2 and 3 variables")
 
     monkeypatch.setattr("beltmatch.cli.root_matching_polynomial", broken)
-    with pytest.raises(DimensionMismatchError, match="2 and 3 variables"):
-        main(["expand", "--type", "A", "--rank", "2", "--root", "1,0"])
-    assert capsys.readouterr().out == ""
+    assert main(["expand", "--type", "A", "--rank", "2", "--root", "1,0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith("DimensionMismatchError: operands have 2 and 3 variables\n")
+
+
+def test_a_crash_exits_three_from_the_entry_point():
+    # The console script and ``python -m beltmatch.cli`` both end in
+    # sys.exit(main()); an exception raised deep in a command must reach
+    # the shell as status 3, not as Python's default status 1.
+    probe = (
+        "import sys\n"
+        "from beltmatch import cli\n"
+        "def broken(*args):\n"
+        "    raise OverflowError('deep in the core')\n"
+        "cli.belt = broken\n"
+        "sys.exit(cli.main(['belt', '--type', 'A', '--rank', '3']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback (most recent call last):\n")
+    assert done.stderr.endswith("OverflowError: deep in the core\n")
 
 
 @pytest.mark.parametrize("error", [StructureError, BijectionError])

@@ -17,6 +17,7 @@ from beltmatch.errors import (
 )
 from beltmatch.laurent import MAX_EXPONENT, MIN_EXPONENT, _unpacker, default_names
 from beltmatch.laurent import LaurentPolynomial as LP
+from beltmatch.mutation import dynkin_involution
 
 
 def parse2(text: str) -> LP:
@@ -827,3 +828,44 @@ def test_to_text_matches_a_plain_renderer_at_every_split(ring):
 def test_to_text_rejects_too_few_names():
     with pytest.raises(DimensionMismatchError):
         parse3("x1 + x3").to_text(("a", "b"))
+
+
+# -- renaming -----------------------------------------------------------------------
+
+
+@st.composite
+def renamings(draw) -> tuple[LP, tuple[int, ...]]:
+    """A polynomial in 1 to 25 variables, with exponents at the range bounds,
+    and the Dynkin involution of A_n or of odd D_n, or any permutation."""
+    nvars = draw(st.integers(min_value=1, max_value=25))
+    exponent = st.one_of(
+        st.integers(min_value=-3, max_value=3),
+        st.sampled_from([MIN_EXPONENT, MIN_EXPONENT + 1, MAX_EXPONENT - 1, MAX_EXPONENT]),
+    )
+    terms = draw(st.dictionaries(st.tuples(*(exponent,) * nvars), coeffs, max_size=8))
+    involutions = [dynkin_involution("A", nvars)]
+    if nvars >= 5 and nvars % 2:
+        involutions.append(dynkin_involution("D", nvars))
+    perm = draw(st.one_of(st.sampled_from(involutions), st.permutations(range(nvars)).map(tuple)))
+    return LP(terms, nvars), perm
+
+
+@given(renamings())
+@example((LP.zero(1), (0,)))
+@example((LP.parse(f"x1^{MAX_EXPONENT}*x4^{MIN_EXPONENT} - 2*x3 + 1", 4), (3, 2, 1, 0)))
+@example((LP.parse(f"x1^{MIN_EXPONENT} + x2*x3^-1 - x5^{MAX_EXPONENT}", 5), (1, 0, 2, 3, 4)))
+@example((LP.monomial(-1, (MAX_EXPONENT,) + (0,) * 23 + (MIN_EXPONENT,)), tuple(range(24, -1, -1))))
+@settings(max_examples=200, deadline=None)
+def test_rename_matches_substitute(case):
+    # rename moves packed digits through half-key memos; substitute of the
+    # variables x_i -> x_perm[i] is the plain route to the same image.
+    p, perm = case
+    image = p.rename(perm)
+    assert image == p.substitute({i: LP.variable(slot, p.nvars) for i, slot in enumerate(perm)})
+    assert image._mins == LP(dict(image.terms()), p.nvars).min_exponents()
+
+
+def test_rename_rejects_a_non_permutation():
+    for perm in [(0, 0, 1), (0, 1), (0, 1, 3)]:
+        with pytest.raises(ValueError):
+            parse3("x1 + x3").rename(perm)

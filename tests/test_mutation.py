@@ -20,6 +20,7 @@ from beltmatch.mutation import (
     _noninitial_denominator,
     _period,
     belt,
+    dynkin_involution,
     exchange_matrix,
     initial_seed,
     mutate_matrix,
@@ -423,21 +424,47 @@ def test_a_cap_at_or_above_the_period_returns_the_shared_lattice(family, rank):
     assert belt(family, rank, None) is lattice
 
 
-@pytest.mark.parametrize("family,rank", REFERENCE_LADDER)
+def _epsilon_orbits(family: str, rank: int) -> int:
+    """The number of epsilon-orbits of non-initial cluster variables, with
+    epsilon applied by ``substitute``."""
+    epsilon = dynkin_involution(family, rank)
+    image = {i: LP.variable(epsilon[i], rank) for i in range(rank)}
+    values = noninitial_variables(family, rank).values()
+    return len({frozenset((value, value.substitute(image))) for value in values})
+
+
+@pytest.mark.parametrize("family,rank", REFERENCE_LADDER + [("A", 12)])
 def test_the_period_takes_half_its_sweeps_from_each_end(family, rank, monkeypatch, cold_period):
+    # Where epsilon swaps the parity groups (A_n, n even), the backward half
+    # is the image of the forward half and no backward sweep is pulled;
+    # every other rung pulls ceil(h/2) sweeps forward and floor(h/2) back.
+    # Either way the belt divides once per epsilon-orbit of non-initial cells.
     odd, even = parity_groups(family, rank)
     pulled = {(odd, even): 0, (even, odd): 0}
     sweeps = mutation._sweeps
+    div_exact = LP.div_exact
+    divisions = 0
 
     def counted(family, rank, groups):
         for sweep in sweeps(family, rank, groups):
             pulled[groups] += 1
             yield sweep
 
+    def counted_division(self, divisor):
+        nonlocal divisions
+        divisions += 1
+        return div_exact(self, divisor)
+
     monkeypatch.setattr(mutation, "_sweeps", counted)
+    monkeypatch.setattr(LP, "div_exact", counted_division)
     belt(family, rank)
+    monkeypatch.undo()
     h = _coxeter_number(family, rank)
-    assert pulled == {(odd, even): (h + 1) // 2, (even, odd): h // 2}
+    backward = 0 if family == "A" and rank % 2 == 0 else h // 2
+    assert pulled == {(odd, even): (h + 1) // 2, (even, odd): backward}
+    assert divisions == _epsilon_orbits(family, rank)
+    if (family, rank) == ("A", 12):
+        assert (len(roots(family, rank)), divisions) == (78, 42)
 
 
 def test_a1_cap_of_one_sweep_succeeds():
@@ -472,7 +499,7 @@ def test_a_duplicated_value_fails_the_period_walk(family, rank, monkeypatch, col
 
 
 def test_diamonds_catch_backward_values_placed_without_the_involution(monkeypatch):
-    # Only the labels of the backward values rest on periodicity; the diamond
+    # The labels of the backward values rest on periodicity; the diamond
     # check is their certificate, so a wrong epsilon must fail it.
     def clear():
         _period.cache_clear()
@@ -486,6 +513,21 @@ def test_diamonds_catch_backward_values_placed_without_the_involution(monkeypatc
             assert "counterexample" in result.details
     finally:
         clear()
+
+
+@pytest.mark.parametrize(
+    "family,rank,error",
+    [("A", 3, "BijectionError"), ("A", 4, "BijectionError"),
+     ("A", 5, "InexactDivisionError"), ("D", 5, "InexactDivisionError")],
+)
+def test_diamonds_catch_mirrored_values_left_unrenamed(family, rank, error, monkeypatch, cold_period):
+    # Mirrored cells rest on the symmetry of epsilon, not on a division of
+    # their own; a renaming that does nothing must fail the diamond check:
+    # the period walk or a later exchange raises, and the check records it.
+    monkeypatch.setattr(LP, "rename", lambda self, perm: self)
+    result = check_belt_diamonds(family, rank)
+    assert not result.passed
+    assert result.details["error"].startswith(f"{error}: ")
 
 
 # -- noninitial_variables --------------------------------------------------------------
