@@ -6,20 +6,22 @@ is deterministic (terms and records sorted canonically).  ``verify --jobs N``
 (N >= 1) is accepted for compatibility only: checks always run one at a
 time, so N changes nothing.  Exit codes: 0 success / all checks pass, 1 a
 verification check failed or raised, 2 usage error or an unwritable output
-path, 3 a crash: any other exception a command raises, whose traceback goes
-to stderr while stdout stays empty.
+(an ``--out`` or ``--dot-dir`` path, or a closed or full stdout), 3 a crash:
+any other exception a command raises, a BijectionError included, whose
+traceback goes to stderr while stdout stays empty.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from operator import add
 from pathlib import Path
 
-from .errors import BijectionError, CheckSelectionError, IterationLimitError, UnsupportedTypeError
-from .laurent import LaurentPolynomial, MonomialFactorization
+from .errors import CheckSelectionError, IterationLimitError, UnsupportedTypeError
+from .laurent import MonomialFactorization
 from .matchenum import root_matching_polynomial
 from .mutation import (
     FAMILIES,
@@ -30,19 +32,21 @@ from .mutation import (
     variable_names,
 )
 from .tilegraphs import enumerate_family, graph_for_root, realize, tilegraph_to_json, to_dot
-from .verify import run_checks
+from .verify import CHECK_NAMES, run_checks
 
 USAGE_ERROR = 2
 CRASH = 3
 
 
-def _parse_root(text: str, rank: int) -> tuple[int, ...]:
+def _parse_root(text: str, family: str, rank: int) -> tuple[int, ...]:
     try:
         coords = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"root {text!r} is not a comma-separated integer list")
     if len(coords) != rank:
         raise argparse.ArgumentTypeError(f"root {text!r} has {len(coords)} coordinates, expected {rank}")
+    if coords not in roots(family, rank):
+        raise argparse.ArgumentTypeError(f"{coords} is not a positive root of {family}_{rank}")
     return coords
 
 
@@ -67,20 +71,18 @@ def cmd_roots(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(",".join(str(c) for c in r) for r in found)
 
 
-def _pretty(poly: LaurentPolynomial, names: tuple[str, ...]) -> str:
-    split = poly.split()
-    if any(d < 0 for d in split.denominator):
-        return poly.to_text(names)  # an initial variable; no denominator display
-    return split.to_text(names)
-
-
 def cmd_belt(args: argparse.Namespace) -> tuple[int, str]:
     lattice = belt(args.type, args.rank, args.max_rows)
     if args.format == "json":
         return 0, lattice.to_json()
     names = variable_names(args.type, args.rank)
+    # Superscript 0 marks an initial variable, printed without a denominator.
     lines = (
-        "   ".join(f"{names[c.slot]}^({c.superscript})={_pretty(c.value, names)}" for c in row)
+        "   ".join(
+            f"{names[c.slot]}^({c.superscript})="
+            + (c.value.split() if c.superscript else c.value).to_text(names)
+            for c in row
+        )
         for row in lattice.rows
     )
     return 0, "\n".join(lines)
@@ -132,7 +134,7 @@ def _expansion_fields(args: argparse.Namespace, root: tuple[int, ...], names: tu
 
 
 def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
-    root = _parse_root(args.root, args.rank)
+    root = _parse_root(args.root, args.type, args.rank)
     if args.format == "dot":
         return 0, to_dot(realize(graph_for_root(args.type, args.rank, root)))
     names = variable_names(args.type, args.rank)
@@ -196,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks",
         default="all",
-        help="comma-separated: theorem,diamonds,condensation,centerone,excision,folding or all",
+        help=f"comma-separated: {','.join(CHECK_NAMES)} or all",
     )
     p_verify.add_argument(
         "--jobs",
@@ -228,13 +230,19 @@ def main(argv: list[str] | None = None) -> int:
         code, output = COMMANDS[args.command](args)
         if args.out is not None:
             Path(args.out).write_text(output + "\n")
+        else:
+            try:
+                print(output, flush=True)
+            except OSError:  # a closed or full stdout: leave nothing for the flush at exit
+                if sys.stdout is sys.__stdout__:  # a real stream, not a capture
+                    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise
     except (
         UnsupportedTypeError,
         CheckSelectionError,
-        BijectionError,
         IterationLimitError,
         argparse.ArgumentTypeError,
-        OSError,  # an unwritable --out or --dot-dir path
+        OSError,  # an unwritable --out or --dot-dir path, or a closed or full stdout
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -242,8 +250,6 @@ def main(argv: list[str] | None = None) -> int:
         import traceback  # only a crash pays for the import
         traceback.print_exc()
         return CRASH
-    if args.out is None:
-        print(output)
     return code
 
 

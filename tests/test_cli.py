@@ -11,8 +11,13 @@ from pathlib import Path
 
 import pytest
 
+from beltmatch import matchenum, mutation
 from beltmatch.cli import main
 from beltmatch.errors import BijectionError, DimensionMismatchError, StructureError
+from beltmatch.laurent import LaurentPolynomial
+from beltmatch.verify import CHECK_NAMES
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -64,10 +69,10 @@ def test_usage_errors_exit_two(capsys):
 
 
 def test_expand_rejects_non_root(capsys):
-    code = main(["expand", "--type", "A", "--rank", "2", "--root", "2,0"])
-    assert code == 2
-    code = main(["expand", "--type", "A", "--rank", "2", "--root", "2,0", "--format", "dot"])
-    assert code == 2
+    for fmt in ("text", "json", "dot"):
+        code = main(["expand", "--type", "A", "--rank", "2", "--root", "2,0", "--format", fmt])
+        assert code == 2
+        assert capsys.readouterr().err == "error: (2, 0) is not a positive root of A_2\n"
 
 
 def test_repeated_runs_are_byte_identical(capsys):
@@ -192,6 +197,47 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
+def _cli_process(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.run(
+        [sys.executable, "-m", "beltmatch.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
+def test_closed_stdout_is_an_unwritable_output():
+    # `beltmatch ... | head -c 10`: the reader is gone before the output is
+    # written, which is the user's pipeline, not a failed check or a crash.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = _cli_process(["roots", "--type", "A", "--rank", "2"], write_end)
+    finally:
+        os.close(write_end)
+    assert done.returncode == 2
+    assert done.stderr == "error: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("target", ["stdout", "--out"])
+def test_full_output_is_an_unwritable_output(target):
+    argv = ["roots", "--type", "A", "--rank", "2"]
+    if target == "stdout":
+        with open("/dev/full", "w") as full:
+            done = _cli_process(argv, full)
+    else:
+        done = _cli_process(argv + ["--out", "/dev/full"], subprocess.PIPE)
+        assert done.stdout == ""
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert "Exception ignored" not in done.stderr
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("error: ")
+
+
 def test_dot_dir_on_an_existing_file_is_a_usage_error(tmp_path, capsys):
     blocker = tmp_path / "plain-file"
     blocker.write_text("")
@@ -245,6 +291,45 @@ def test_core_value_error_is_not_a_usage_error(capsys, monkeypatch):
     assert captured.err.endswith("DimensionMismatchError: operands have 2 and 3 variables\n")
 
 
+def _assert_crash(capsys, argv: list[str], message: str) -> None:
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("Traceback (most recent call last):\n")
+    assert captured.err.endswith(f"BijectionError: {message}\n")
+
+
+def test_a_belt_that_misses_the_roots_is_a_crash(capsys, monkeypatch):
+    # A BijectionError raised inside a command is the program's fault: the
+    # input was validated before the command ran.
+    sweeps = mutation._sweeps
+
+    def repeat_first_cell(family, rank, groups):
+        for sweep in sweeps(family, rank, groups):
+            yield tuple((k, sweep[0][1]) for k, _ in sweep)
+
+    mutation._period.cache_clear()  # build the period under the patch
+    monkeypatch.setattr(mutation, "_sweeps", repeat_first_cell)
+    try:
+        _assert_crash(
+            capsys,
+            ["variables", "--type", "A", "--rank", "3"],
+            "denominator vectors [(0, 1, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1)] "
+            "do not match the positive roots",
+        )
+    finally:
+        mutation._period.cache_clear()
+
+
+def test_a_graph_with_no_perfect_matching_is_a_crash(capsys, monkeypatch):
+    monkeypatch.setattr(matchenum, "matching_polynomial", lambda graph: LaurentPolynomial.zero(graph.nvars))
+    _assert_crash(
+        capsys,
+        ["expand", "--type", "A", "--rank", "2", "--root", "1,0"],
+        "graph for root (1, 0) has no perfect matching",
+    )
+
+
 def test_a_crash_exits_three_from_the_entry_point():
     # The console script and ``python -m beltmatch.cli`` both end in
     # sys.exit(main()); an exception raised deep in a command must reach
@@ -282,6 +367,13 @@ def test_check_that_raises_is_a_fail_record(capsys, monkeypatch, error):
     code, out = run(capsys, "verify", "--type", "A", "--rank", "3", "--checks", "theorem", "--format", "text")
     assert code == 1
     assert out.splitlines() == [f"FAIL theorem[A3] {message}", "some checks FAILED"]
+
+
+def test_verify_help_names_every_check(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # the list on one line
+    assert main(["verify", "--help"]) == 0
+    listed = capsys.readouterr().out.split("comma-separated: ")[1].split(" or all")[0]
+    assert listed.split(",") == list(CHECK_NAMES)
 
 
 def test_cli_import_leaves_dataclasses_and_fractions_unloaded():
