@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: roots, belt, variables, graphs, expand, verify.  JSON is the
-primary output format; the text format renders the same data.  All output
-is deterministic (terms and records sorted canonically).  ``verify --jobs N``
-(N >= 1) is accepted for compatibility only: checks always run one at a
-time, so N changes nothing.  Exit codes: 0 success / all checks pass, 1 a
-verification check failed or raised, 2 usage error or an unwritable output
-(an ``--out`` or ``--dot-dir`` path, or a closed or full stdout), 3 a crash:
-any other exception a command raises, a BijectionError included, whose
-traceback goes to stderr while stdout stays empty.
+primary output format; the text format renders the same data.  All output is
+deterministic (terms and records sorted canonically).  ``verify --jobs N``
+(N >= 1) is accepted for compatibility only: checks always run one at a time,
+so N changes nothing, and ``verify`` prints the report's own rendering.  Exit
+codes: 0 success / all checks pass, 1 a verification check failed or raised,
+2 usage error (a ``belt --max-rows`` cap below the period included) or an
+unwritable output (an ``--out`` or ``--dot-dir`` path, or a closed or full
+stdout), 3 a crash: any other exception a command raises, a BijectionError or
+a failed root closure included, whose traceback goes to stderr while stdout
+stays empty.
 """
 
 from __future__ import annotations
@@ -72,7 +74,11 @@ def cmd_roots(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_belt(args: argparse.Namespace) -> tuple[int, str]:
-    lattice = belt(args.type, args.rank, args.max_rows)
+    roots(args.type, args.rank)  # a failed root closure is a crash, so raise it outside the gate
+    try:
+        lattice = belt(args.type, args.rank, args.max_rows)
+    except IterationLimitError as exc:  # a --max-rows cap below the period
+        raise argparse.ArgumentTypeError(str(exc)) from None
     if args.format == "json":
         return 0, lattice.to_json()
     names = variable_names(args.type, args.rank)
@@ -145,21 +151,8 @@ def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
     report = run_checks(args.type, args.rank, args.checks.split(","))
-    if args.format == "json":
-        return (0 if report.passed else 1), report.to_json()
-    lines = []
-    for result in report.merged():
-        status = "PASS" if result.passed else "FAIL"
-        note = ""
-        if "error" in result.details:
-            note = " " + result.details["error"]
-        elif "roots_checked" in result.details:
-            note = f" ({result.details['roots_checked']} roots checked)"
-        elif "counterexample" in result.details:
-            note = " " + json.dumps(result.details["counterexample"], sort_keys=True)
-        lines.append(f"{status} {result.name}{note}")
-    lines.append(("all checks passed" if report.passed else "some checks FAILED"))
-    return (0 if report.passed else 1), "\n".join(lines)
+    output = report.to_json() if args.format == "json" else report.to_text()
+    return (0 if report.passed else 1), output
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -198,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--checks",
         default="all",
-        help=f"comma-separated: {','.join(CHECK_NAMES)} or all",
+        help=f"comma-separated: {', '.join(CHECK_NAMES)} or all",
     )
     p_verify.add_argument(
         "--jobs",
@@ -240,7 +233,6 @@ def main(argv: list[str] | None = None) -> int:
     except (
         UnsupportedTypeError,
         CheckSelectionError,
-        IterationLimitError,
         argparse.ArgumentTypeError,
         OSError,  # an unwritable --out or --dot-dir path, or a closed or full stdout
     ) as exc:

@@ -1,11 +1,13 @@
 """Identity checks tying the two routes together.
 
-Each check evaluates an exact polynomial identity and returns a CheckResult;
-a VerificationReport aggregates them.  Checks never raise on a failed
-identity -- they report a minimal counterexample instead (the root or
-parameters involved, both polynomials, and their difference), so a
-convention bug is diagnosable in one run.  A check that raises is a failed
-check whose details carry the exception.
+Each check is an exact polynomial identity returning (passed, details),
+declared once with ``@_check``, which times it and names its CheckResult;
+``CHECK_PLANS`` maps each check name to the steps it runs for a (family,
+rank), and a VerificationReport holds the results sorted by name.  Checks
+never raise on a failed identity -- they report a minimal counterexample
+instead (the root or parameters involved, both polynomials, and their
+difference), so a convention bug is diagnosable in one run.  A check that
+raises is a failed check whose details carry the exception.
 
 The extended-lattice checks work over signed variables y_i with y_1 = 1,
 y_{-1} = -1, the sign rule y_{-i} = -y_i, and a symbolic y_0.  Limits
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 import time
-from functools import cache
+from functools import cache, wraps
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .errors import CheckSelectionError, PoleError
@@ -35,92 +37,100 @@ class CheckResult(NamedTuple):
     details: dict
     seconds: float
 
-    def payload(self) -> dict:
-        # Timings stay off the wire so repeated runs are byte-identical.
-        return {"name": self.name, "passed": self.passed, "details": self.details}
 
+class VerificationReport(NamedTuple):
+    """The results of a verification run, sorted by check name."""
 
-class VerificationReport:
-    """The results of a verification run; checks are added as they finish."""
-
-    def __init__(self) -> None:
-        self.checks: list[CheckResult] = []
+    checks: tuple[CheckResult, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, result: CheckResult) -> None:
-        self.checks.append(result)
-
-    def merged(self) -> list[CheckResult]:
-        return sorted(self.checks, key=lambda c: c.name)
-
     def to_json(self) -> str:
-        return json.dumps(
-            {"passed": self.passed, "checks": [c.payload() for c in self.merged()]},
-            indent=2,
-            sort_keys=True,
-        )
+        # Timings stay off the wire so repeated runs are byte-identical.
+        checks = [{"name": c.name, "passed": c.passed, "details": c.details} for c in self.checks]
+        return json.dumps({"passed": self.passed, "checks": checks}, indent=2, sort_keys=True)
+
+    def to_text(self) -> str:
+        """One PASS/FAIL line per check with its error, root count or counterexample."""
+        lines = []
+        for c in self.checks:
+            note = ""
+            if "error" in c.details:
+                note = " " + c.details["error"]
+            elif "roots_checked" in c.details:
+                note = f" ({c.details['roots_checked']} roots checked)"
+            elif "counterexample" in c.details:
+                note = " " + json.dumps(c.details["counterexample"], sort_keys=True)
+            lines.append(f"{'PASS' if c.passed else 'FAIL'} {c.name}{note}")
+        return "\n".join(lines + ["all checks passed" if self.passed else "some checks FAILED"])
 
 
-def _timed(name: str, run: Callable[[], tuple[bool, dict]]) -> CheckResult:
-    start = time.perf_counter()
-    try:
-        passed, details = run()
-    except Exception as exc:
-        passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
-    return CheckResult(name, passed, details, time.perf_counter() - start)
+def _check(name: Callable[..., str]):
+    """Make an identity returning (passed, details) a timed check whose CheckResult is
+    named ``name(*args)``; an exception it raises is a failed result carrying it."""
+
+    def decorate(identity: Callable[..., tuple[bool, dict]]) -> Callable[..., CheckResult]:
+        @wraps(identity)
+        def check(*args: Any) -> CheckResult:
+            start = time.perf_counter()
+            try:
+                passed, details = identity(*args)
+            except Exception as exc:
+                passed, details = False, {"error": f"{type(exc).__name__}: {exc}"}
+            return CheckResult(name(*args), passed, details, time.perf_counter() - start)
+
+        return check
+
+    return decorate
 
 
 # -- the main equivalence check ---------------------------------------------------
 
 
-def verify_theorem(family: str, rank: int) -> CheckResult:
+@_check(lambda family, rank: f"theorem[{family}{rank}]")
+def verify_theorem(family: str, rank: int) -> tuple[bool, dict]:
     """Belt oracle vs matching expansion for every positive root.
 
     Also checks the family cardinality, the injectivity of the multiplicity
     vector, and the positivity of every numerator coefficient.
     """
-
-    def run() -> tuple[bool, dict]:
-        check_supported(family, rank)
-        names = variable_names(family, rank)
-        oracle = noninitial_variables(family, rank)
-        graphs = enumerate_family(family, rank)
-        details: dict = {"roots_checked": len(oracle)}
-        mus = [g.mu for g in graphs]
-        if len(set(mus)) != len(mus):
-            details["counterexample"] = {"why": "multiplicity vectors are not distinct"}
-            return False, details
-        if sorted(mus) != sorted(oracle):
+    check_supported(family, rank)
+    names = variable_names(family, rank)
+    oracle = noninitial_variables(family, rank)
+    graphs = enumerate_family(family, rank)
+    details: dict = {"roots_checked": len(oracle)}
+    mus = [g.mu for g in graphs]
+    if len(set(mus)) != len(mus):
+        details["counterexample"] = {"why": "multiplicity vectors are not distinct"}
+        return False, details
+    if sorted(mus) != sorted(oracle):
+        details["counterexample"] = {
+            "why": "family multiplicity vectors differ from the positive roots",
+            "family_only": [list(m) for m in sorted(set(mus) - set(oracle))],
+            "roots_only": [list(r) for r in sorted(set(oracle) - set(mus))],
+        }
+        return False, details
+    for root, expected in sorted(oracle.items()):
+        # A monomial shift leaves coefficients alone: these are the numerator's.
+        if any(c <= 0 for c in expected.coefficients()):
             details["counterexample"] = {
-                "why": "family multiplicity vectors differ from the positive roots",
-                "family_only": [list(m) for m in sorted(set(mus) - set(oracle))],
-                "roots_only": [list(r) for r in sorted(set(oracle) - set(mus))],
+                "root": list(root),
+                "why": "nonpositive numerator coefficient",
+                "belt": expected.to_text(names),
             }
             return False, details
-        for root, expected in sorted(oracle.items()):
-            # A monomial shift leaves coefficients alone: these are the numerator's.
-            if any(c <= 0 for c in expected.coefficients()):
-                details["counterexample"] = {
-                    "root": list(root),
-                    "why": "nonpositive numerator coefficient",
-                    "belt": expected.to_text(names),
-                }
-                return False, details
-            got = cluster_expansion(family, rank, root)
-            if got != expected:
-                details["counterexample"] = {
-                    "root": list(root),
-                    "belt": expected.to_text(names),
-                    "matching": got.to_text(names),
-                    "difference": (expected - got).to_text(names),
-                }
-                return False, details
-        return True, details
-
-    return _timed(f"theorem[{family}{rank}]", run)
+        got = cluster_expansion(family, rank, root)
+        if got != expected:
+            details["counterexample"] = {
+                "root": list(root),
+                "belt": expected.to_text(names),
+                "matching": got.to_text(names),
+                "difference": (expected - got).to_text(names),
+            }
+            return False, details
+    return True, details
 
 
 # -- extended-lattice configuration ------------------------------------------------
@@ -194,7 +204,8 @@ def strip_limit(config: ExtendedLatticeConfig, lo: int, hi: int) -> LaurentPolyn
 # -- condensation -------------------------------------------------------------------
 
 
-def check_condensation(center: int, halfwidth: int) -> CheckResult:
+@_check(lambda center, halfwidth: f"condensation[i={center},j={halfwidth}]")
+def check_condensation(center: int, halfwidth: int) -> tuple[bool, dict]:
     """Graphical condensation on interval graphs, fully symbolically.
 
     P(G_0) P(G_2) = P(G_1 west) P(G_1 east) + excess.  The excess is the
@@ -204,78 +215,72 @@ def check_condensation(center: int, halfwidth: int) -> CheckResult:
     variable squared; at halfwidth 2 the G_2 factor is an empty product,
     which is exactly where the expanded form would overcount.
     """
+    i, j = center, halfwidth
+    lo, hi = i - j + 1, i + j - 1
+    shift = 1 - (lo - 1)  # keep every index positive: slot = index + shift - 1
+    nvars = (hi + 1) + shift
+    names = tuple(f"y{m - shift}" for m in range(1, nvars + 1))
 
-    def run() -> tuple[bool, dict]:
-        i, j = center, halfwidth
-        lo, hi = i - j + 1, i + j - 1
-        shift = 1 - (lo - 1)  # keep every index positive: slot = index + shift - 1
-        nvars = (hi + 1) + shift
-        names = tuple(f"y{m - shift}" for m in range(1, nvars + 1))
+    def y(m: int) -> LaurentPolynomial:
+        return LaurentPolynomial.variable(m + shift - 1, nvars)
 
-        def y(m: int) -> LaurentPolynomial:
-            return LaurentPolynomial.variable(m + shift - 1, nvars)
+    def strip(a: int, b: int) -> LaurentPolynomial:  # the empty strip (a > b) is 1
+        return _strip_polynomial(tuple((y(t + 1), y(t - 1)) for t in range(a, b + 1)), nvars)
 
-        def strip(a: int, b: int) -> LaurentPolynomial:  # the empty strip (a > b) is 1
-            return _strip_polynomial(tuple((y(t + 1), y(t - 1)) for t in range(a, b + 1)), nvars)
-
-        excess = LaurentPolynomial.one(nvars)
-        for t in range(lo + 1, hi, 2):  # horizontal tiles of the G_0 matching
-            excess = excess * y(t - 1) * y(t + 1)
-        for t in range(lo + 2, hi - 1, 2):  # horizontal tiles of the G_2 matching
-            excess = excess * y(t - 1) * y(t + 1)
-        lhs = strip(lo, hi) * strip(lo + 2, hi - 2)
-        rhs = strip(lo, hi - 2) * strip(lo + 2, hi) + excess
-        details: dict = {"center": i, "halfwidth": j}
-        if j == 2:  # every weight 1: each side is its sum of coefficients
-            details["unit_instance"] = f"{sum(lhs.coefficients())} = {sum(rhs.coefficients())}"
-        if lhs != rhs:
-            details["counterexample"] = {
-                "lhs": lhs.to_text(names),
-                "rhs": rhs.to_text(names),
-                "difference": (lhs - rhs).to_text(names),
-            }
-            return False, details
-        return True, details
-
-    return _timed(f"condensation[i={center},j={halfwidth}]", run)
+    excess = LaurentPolynomial.one(nvars)
+    for t in range(lo + 1, hi, 2):  # horizontal tiles of the G_0 matching
+        excess = excess * y(t - 1) * y(t + 1)
+    for t in range(lo + 2, hi - 1, 2):  # horizontal tiles of the G_2 matching
+        excess = excess * y(t - 1) * y(t + 1)
+    lhs = strip(lo, hi) * strip(lo + 2, hi - 2)
+    rhs = strip(lo, hi - 2) * strip(lo + 2, hi) + excess
+    details: dict = {"center": i, "halfwidth": j}
+    if j == 2:  # every weight 1: each side is its sum of coefficients
+        details["unit_instance"] = f"{sum(lhs.coefficients())} = {sum(rhs.coefficients())}"
+    if lhs != rhs:
+        details["counterexample"] = {
+            "lhs": lhs.to_text(names),
+            "rhs": rhs.to_text(names),
+            "difference": (lhs - rhs).to_text(names),
+        }
+        return False, details
+    return True, details
 
 
 # -- centre identities -------------------------------------------------------------
 
 
-def check_center_one(j: int, parity: str) -> CheckResult:
+@_check(lambda j, parity: f"centerone[j={j},{parity}]")
+def check_center_one(j: int, parity: str) -> tuple[bool, dict]:
     """Even case: tiles -j..j+1 biject to y_{j+2}.  Odd case: tiles -j..j+2 biject to 1."""
-
-    def run() -> tuple[bool, dict]:
-        if parity not in ("even", "odd"):
-            raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-        hi = j + 2 if parity == "odd" else j + 1
-        config = ExtendedLatticeConfig(max_index=j + 3)
-        got = strip_limit(config, -j, hi)
-        expected = (
-            LaurentPolynomial.one(config.nvars)
-            if parity == "odd"
-            else LaurentPolynomial.variable(j + 2, config.nvars)
-        )
-        details: dict = {"j": j, "parity": parity, "tiles": hi + j + 1}
-        if j == 0 and parity == "even":
-            raw = matching_polynomial(tile_strip(config, 0, 1))
-            details["base_case"] = raw.to_text(config.names)
-        if got != expected:
-            details["counterexample"] = {
-                "got": got.to_text(config.names),
-                "expected": expected.to_text(config.names),
-            }
-            return False, details
-        return True, details
-
-    return _timed(f"centerone[j={j},{parity}]", run)
+    if parity not in ("even", "odd"):
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    hi = j + 2 if parity == "odd" else j + 1
+    config = ExtendedLatticeConfig(max_index=j + 3)
+    got = strip_limit(config, -j, hi)
+    expected = (
+        LaurentPolynomial.one(config.nvars)
+        if parity == "odd"
+        else LaurentPolynomial.variable(j + 2, config.nvars)
+    )
+    details: dict = {"j": j, "parity": parity, "tiles": hi + j + 1}
+    if j == 0 and parity == "even":
+        raw = matching_polynomial(tile_strip(config, 0, 1))
+        details["base_case"] = raw.to_text(config.names)
+    if got != expected:
+        details["counterexample"] = {
+            "got": got.to_text(config.names),
+            "expected": expected.to_text(config.names),
+        }
+        return False, details
+    return True, details
 
 
 # -- excision -----------------------------------------------------------------------
 
 
-def check_excision(scenario: tuple) -> CheckResult:
+@_check(lambda scenario: f"excision[{','.join(str(x) for x in scenario)}]")
+def check_excision(scenario: tuple) -> tuple[bool, dict]:
     """Excision invariance: tiles L..H and tiles 3-L..H of the extended
     lattice give the same Laurent polynomial, the block L..2-L centred on
     tile 1 being excised.
@@ -292,37 +297,32 @@ def check_excision(scenario: tuple) -> CheckResult:
     the printed reflection b -> 2n+2-b, the window 2-L..H, also holds is
     recorded in the details, so the discrepancy is decided empirically.
     """
-
-    def run() -> tuple[bool, dict]:
-        kind = scenario[0]
-        if kind == "A":
-            _, j, k = scenario
-            low, high = 2 - j, j + k
-            details: dict = {"scenario": ["A", j, k], "tiles": 2 * j + k - 1}
-        elif kind == "B":
-            _, n, a, b = scenario
-            low, high = n + 2 - b, n + 2 - a
-            details = {"scenario": ["B", n, a, b], "reflection": [a, 2 * n + 1 - b]}
-        else:
-            raise ValueError(f"unknown excision scenario {scenario!r}")
-        config = ExtendedLatticeConfig(max_index=high + 1)
-        whole = strip_limit(config, low, high)
-        excised = strip_limit(config, 3 - low, high)
-        if kind == "B":
-            try:
-                details["printed_formula_matches"] = whole == strip_limit(config, 2 - low, high)
-            except PoleError:
-                details["printed_formula_matches"] = False
-        if whole != excised:
-            details["counterexample"] = {
-                "whole": whole.to_text(config.names),
-                "excised": excised.to_text(config.names),
-            }
-            return False, details
-        return True, details
-
-    tag = ",".join(str(x) for x in scenario)
-    return _timed(f"excision[{tag}]", run)
+    kind = scenario[0]
+    if kind == "A":
+        _, j, k = scenario
+        low, high = 2 - j, j + k
+        details: dict = {"scenario": ["A", j, k], "tiles": 2 * j + k - 1}
+    elif kind == "B":
+        _, n, a, b = scenario
+        low, high = n + 2 - b, n + 2 - a
+        details = {"scenario": ["B", n, a, b], "reflection": [a, 2 * n + 1 - b]}
+    else:
+        raise ValueError(f"unknown excision scenario {scenario!r}")
+    config = ExtendedLatticeConfig(max_index=high + 1)
+    whole = strip_limit(config, low, high)
+    excised = strip_limit(config, 3 - low, high)
+    if kind == "B":
+        try:
+            details["printed_formula_matches"] = whole == strip_limit(config, 2 - low, high)
+        except PoleError:
+            details["printed_formula_matches"] = False
+    if whole != excised:
+        details["counterexample"] = {
+            "whole": whole.to_text(config.names),
+            "excised": excised.to_text(config.names),
+        }
+        return False, details
+    return True, details
 
 
 # -- folding ------------------------------------------------------------------------
@@ -338,43 +338,41 @@ def folding_assignment_d_to_b(n: int) -> dict[int, LaurentPolynomial]:
     return {s: LaurentPolynomial.variable(max(s - 1, 0), n - 1) for s in range(n)}
 
 
-def check_folding(direction: str, n: int) -> CheckResult:
+@_check(lambda direction, n: f"folding[{direction},n={n}]")
+def check_folding(direction: str, n: int) -> tuple[bool, dict]:
     """Fold the simply-laced variables and compare with the folded family."""
-
-    def run() -> tuple[bool, dict]:
-        if direction == "A->C":
-            source = noninitial_variables("A", 2 * n - 1)
-            assignment = folding_assignment_a_to_c(n)
-            target = set(noninitial_variables("C", n).values())
-            target_names = variable_names("C", n)
-        elif direction == "D->B":
-            source = noninitial_variables("D", n)
-            assignment = folding_assignment_d_to_b(n)
-            target = set(noninitial_variables("B", n - 1).values())
-            target_names = variable_names("B", n - 1)
-        else:
-            raise ValueError(f"unknown folding direction {direction!r}")
-        folded = {value.substitute(assignment) for value in source.values()}
-        details: dict = {
-            "direction": direction,
-            "n": n,
-            "source_count": len(source),
-            "folded_count": len(folded),
-        }
-        if folded != target:
-            extra = sorted(p.to_text(target_names) for p in folded - target)
-            missing = sorted(p.to_text(target_names) for p in target - folded)
-            details["counterexample"] = {"extra": extra[:3], "missing": missing[:3]}
-            return False, details
-        return True, details
-
-    return _timed(f"folding[{direction},n={n}]", run)
+    if direction == "A->C":
+        source = noninitial_variables("A", 2 * n - 1)
+        assignment = folding_assignment_a_to_c(n)
+        target = set(noninitial_variables("C", n).values())
+        target_names = variable_names("C", n)
+    elif direction == "D->B":
+        source = noninitial_variables("D", n)
+        assignment = folding_assignment_d_to_b(n)
+        target = set(noninitial_variables("B", n - 1).values())
+        target_names = variable_names("B", n - 1)
+    else:
+        raise ValueError(f"unknown folding direction {direction!r}")
+    folded = {value.substitute(assignment) for value in source.values()}
+    details: dict = {
+        "direction": direction,
+        "n": n,
+        "source_count": len(source),
+        "folded_count": len(folded),
+    }
+    if folded != target:
+        extra = sorted(p.to_text(target_names) for p in folded - target)
+        missing = sorted(p.to_text(target_names) for p in target - folded)
+        details["counterexample"] = {"extra": extra[:3], "missing": missing[:3]}
+        return False, details
+    return True, details
 
 
 # -- diamond conditions ---------------------------------------------------------------
 
 
-def check_belt_diamonds(family: str, rank: int) -> CheckResult:
+@_check(lambda family, rank: f"diamonds[{family}{rank}]")
+def check_belt_diamonds(family: str, rank: int) -> tuple[bool, dict]:
     """Walk the belt lattice and check a d = (neighbour monomial) + 1 everywhere.
 
     The neighbour monomial takes column k' of the in-between row to the
@@ -382,52 +380,46 @@ def check_belt_diamonds(family: str, rank: int) -> CheckResult:
     condition, the truncated western conditions of B_n, and the D_n
     boundary relations in one rule.
     """
-
-    def run() -> tuple[bool, dict]:
-        values = belt(family, rank).values
-        rows = exchange_matrix(family, rank)
-        names = variable_names(family, rank)
-        by_slot: dict[int, list[int]] = {}
-        for slot, sup in values:
-            by_slot.setdefault(slot, []).append(sup)
-        one = LaurentPolynomial.one(len(names))
-        checked = 0
-        for slot, sups in sorted(by_slot.items()):
-            sups.sort()
-            for prev, nxt in zip(sups, sups[1:]):
-                a = values[(slot, prev)]
-                d = values[(slot, nxt)]
-                monomial = one
-                usable = True
-                for other, b in enumerate(rows[slot]):
-                    if other == slot or b == 0:
-                        continue
-                    neighbour = values.get((other, nxt - 1))
-                    if neighbour is None:
-                        usable = False
-                        break
-                    monomial = monomial * neighbour ** abs(b)
-                if not usable:
+    values = belt(family, rank).values
+    rows = exchange_matrix(family, rank)
+    names = variable_names(family, rank)
+    by_slot: dict[int, list[int]] = {}
+    for slot, sup in values:
+        by_slot.setdefault(slot, []).append(sup)
+    one = LaurentPolynomial.one(len(names))
+    checked = 0
+    for slot, sups in sorted(by_slot.items()):
+        sups.sort()
+        for prev, nxt in zip(sups, sups[1:]):
+            a = values[(slot, prev)]
+            d = values[(slot, nxt)]
+            monomial = one
+            usable = True
+            for other, b in enumerate(rows[slot]):
+                if other == slot or b == 0:
                     continue
-                checked += 1
-                if a * d != monomial + one:
-                    return False, {
-                        "diamonds_checked": checked,
-                        "counterexample": {
-                            "column": slot,
-                            "superscripts": [prev, nxt],
-                            "a*d": (a * d).to_text(names),
-                            "monomial": monomial.to_text(names),
-                        },
-                    }
-        return True, {"diamonds_checked": checked}
-
-    return _timed(f"diamonds[{family}{rank}]", run)
+                neighbour = values.get((other, nxt - 1))
+                if neighbour is None:
+                    usable = False
+                    break
+                monomial = monomial * neighbour ** abs(b)
+            if not usable:
+                continue
+            checked += 1
+            if a * d != monomial + one:
+                return False, {
+                    "diamonds_checked": checked,
+                    "counterexample": {
+                        "column": slot,
+                        "superscripts": [prev, nxt],
+                        "a*d": (a * d).to_text(names),
+                        "monomial": monomial.to_text(names),
+                    },
+                }
+    return True, {"diamonds_checked": checked}
 
 
 # -- check registry -------------------------------------------------------------------
-
-CHECK_NAMES = ("theorem", "diamonds", "condensation", "centerone", "excision", "folding")
 
 # Desk-scale parameter grids for the lattice checks.
 CONDENSATION_GRID = tuple((i, j) for i in (-1, 0, 4) for j in (2, 3, 4, 5))
@@ -454,6 +446,22 @@ def applicable_foldings(family: str, rank: int) -> tuple[tuple[str, int], ...]:
     return ()
 
 
+# Each check name with the (check, args) steps it plans for a (family, rank),
+# in plan order.  The lambdas read each check's module global when a plan is
+# made, so a wrapper swapped in for it (a tracer's span, a test's spy) runs.
+CHECK_PLANS: dict[str, Callable[[str, int], list]] = {
+    "theorem": lambda family, rank: [(verify_theorem, (family, rank))],
+    "diamonds": lambda family, rank: [(check_belt_diamonds, (family, rank))],
+    "condensation": lambda family, rank: [(check_condensation, a) for a in CONDENSATION_GRID],
+    "centerone": lambda family, rank: [(check_center_one, a) for a in CENTERONE_GRID],
+    "excision": lambda family, rank: [
+        (check_excision, (s,)) for s in EXCISION_A_GRID + EXCISION_B_GRID
+    ],
+    "folding": lambda family, rank: [(check_folding, a) for a in applicable_foldings(family, rank)],
+}
+CHECK_NAMES = tuple(CHECK_PLANS)
+
+
 def plan_checks(
     family: str, rank: int, selection: Sequence[str]
 ) -> list[tuple[Callable[..., CheckResult], tuple[Any, ...]]]:
@@ -465,21 +473,12 @@ def plan_checks(
     unknown = wanted - set(CHECK_NAMES) - {"all"}
     if unknown:
         raise CheckSelectionError(f"unknown checks: {sorted(unknown)}")
-    if "all" in wanted:
-        wanted = set(CHECK_NAMES)
-    plan: list[tuple[Callable[..., CheckResult], tuple[Any, ...]]] = []
-    if "theorem" in wanted:
-        plan.append((verify_theorem, (family, rank)))
-    if "diamonds" in wanted:
-        plan.append((check_belt_diamonds, (family, rank)))
-    if "condensation" in wanted:
-        plan += [(check_condensation, args) for args in CONDENSATION_GRID]
-    if "centerone" in wanted:
-        plan += [(check_center_one, args) for args in CENTERONE_GRID]
-    if "excision" in wanted:
-        plan += [(check_excision, (scenario,)) for scenario in EXCISION_A_GRID + EXCISION_B_GRID]
-    if "folding" in wanted:
-        plan += [(check_folding, args) for args in applicable_foldings(family, rank)]
+    plan = [
+        step
+        for name, steps in CHECK_PLANS.items()
+        if name in wanted or "all" in wanted
+        for step in steps(family, rank)
+    ]
     if not plan:
         text = ",".join(selection)
         raise CheckSelectionError(f"no check selected by {text!r} for {family}_{rank}")
@@ -487,12 +486,10 @@ def plan_checks(
 
 
 def run_checks(family: str, rank: int, selection: Sequence[str]) -> VerificationReport:
-    """Run the selected checks one at a time; results are merged by name.
+    """Run the planned checks one at a time and report them sorted by name.
 
     The checks are CPU-bound exact arithmetic and share the cached belt and
     family of (family, rank), so they run sequentially in this process.
     """
-    report = VerificationReport()
-    for check, args in plan_checks(family, rank, selection):
-        report.add(check(*args))
-    return report
+    results = [check(*args) for check, args in plan_checks(family, rank, selection)]
+    return VerificationReport(tuple(sorted(results, key=lambda c: c.name)))

@@ -103,6 +103,31 @@ def test_belt_max_rows_below_one_is_a_usage_error(capsys):
         assert "--max-rows" in captured.err
 
 
+def test_belt_max_rows_below_the_period_is_a_usage_error(capsys):
+    code = main(["belt", "--type", "A", "--rank", "3", "--max-rows", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: belt for A_3 did not cover all positive roots in 2 sweeps\n"
+
+
+def test_a_failed_root_closure_is_a_crash():
+    # The closure cap is internal: hitting it is a fault, not the user's mistake.
+    probe = (
+        "import sys\n"
+        "from beltmatch import cli, mutation, rootsys\n"
+        "rootsys._closure_round_cap = lambda n: 0\n"
+        "mutation.roots.cache_clear()\n"
+        "sys.exit(cli.main(['roots', '--type', 'A', '--rank', '3']))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("Traceback (most recent call last):\n")
+    assert done.stderr.endswith("IterationLimitError: reflection closure failed to stabilise\n")
+
+
 def test_belt_max_rows_counts_sweeps_not_printed_rows(capsys):
     # Four sweeps after the two initial rows: six printed lines.
     code, out = run(capsys, "belt", "--type", "A", "--rank", "3", "--max-rows", "4", "--format", "text")
@@ -373,7 +398,14 @@ def test_verify_help_names_every_check(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "200")  # the list on one line
     assert main(["verify", "--help"]) == 0
     listed = capsys.readouterr().out.split("comma-separated: ")[1].split(" or all")[0]
-    assert listed.split(",") == list(CHECK_NAMES)
+    assert listed.split(", ") == list(CHECK_NAMES)
+
+
+def test_verify_help_wraps_between_check_names(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["verify", "--help"]) == 0
+    words = set(capsys.readouterr().out.replace(",", " ").split())
+    assert set(CHECK_NAMES) <= words
 
 
 def test_cli_import_leaves_dataclasses_and_fractions_unloaded():

@@ -148,6 +148,7 @@ def test_folding_d4_hexagon_example():
 def test_run_checks_all_and_report_json():
     report = run_checks("C", 2, ["all"])
     assert report.passed
+    assert report.checks == tuple(sorted(report.checks, key=lambda c: c.name))
     payload = json.loads(report.to_json())
     assert payload["passed"] is True
     names = [c["name"] for c in payload["checks"]]
@@ -155,6 +156,24 @@ def test_run_checks_all_and_report_json():
     assert any(n.startswith("theorem") for n in names)
     assert any(n.startswith("folding") for n in names)
     assert all("seconds" not in c for c in payload["checks"])
+
+
+def test_plan_table_looks_each_check_up_when_it_plans(monkeypatch):
+    # A wrapper swapped in for a check's module global (a tracer's span) must be the one run.
+    calls = []
+
+    def spy(label):
+        def check(*args):
+            calls.append((label, args))
+            return verify.CheckResult(f"{label}{args}", True, {}, 0.0)
+
+        return check
+
+    monkeypatch.setattr(verify, "verify_theorem", spy("theorem"))
+    monkeypatch.setattr(verify, "check_folding", spy("folding"))
+    report = run_checks("C", 3, ["all"])
+    assert calls == [("theorem", ("C", 3)), ("folding", ("A->C", 3))]
+    assert report.passed and len(report.checks) == len(plan_checks("C", 3, ["all"]))
 
 
 def test_run_checks_rejects_unknown_names():
