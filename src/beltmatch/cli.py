@@ -8,19 +8,22 @@ so N changes nothing, and ``verify`` prints the report's own rendering.  Exit
 codes: 0 success / all checks pass, 1 a verification check failed or raised,
 2 usage error (a ``belt --max-rows`` cap below the period included) or an
 unwritable output (an ``--out`` or ``--dot-dir`` path, or a closed or full
-stdout), 3 a crash: any other exception a command raises, a BijectionError or
-a failed root closure included, whose traceback goes to stderr while stdout
-stays empty.
+stdout, help text included), 3 a crash: any other exception a command raises,
+a BijectionError or a failed root closure included, whose traceback goes to
+stderr while stdout stays empty.  ``main`` returns the code; ``run`` exits.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
+from contextlib import redirect_stdout
 from operator import add
 from pathlib import Path
+from typing import NoReturn
 
 from .errors import CheckSelectionError, IterationLimitError, UnsupportedTypeError
 from .laurent import MonomialFactorization
@@ -215,14 +218,20 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        with redirect_stdout(io.StringIO()) as shown:  # --help text, written inside the guard below
+            args = parser.parse_args(argv)
     except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
+        if exc.code not in (0, None):
+            return USAGE_ERROR
+        args = None
     try:
-        check_supported(args.type, args.rank)
-        code, output = COMMANDS[args.command](args)
-        if args.out is not None:
-            Path(args.out).write_text(output + "\n")
+        if args is None:  # --help
+            code, output, out = 0, shown.getvalue().removesuffix("\n"), None
+        else:
+            check_supported(args.type, args.rank)
+            (code, output), out = COMMANDS[args.command](args), args.out
+        if out is not None:
+            Path(out).write_text(output + "\n")
         else:
             try:
                 print(output, flush=True)
@@ -245,5 +254,25 @@ def main(argv: list[str] | None = None) -> int:
     return code
 
 
+def run() -> NoReturn:
+    """Run ``main`` as the process: ``python -m beltmatch.cli`` and the ``beltmatch`` script.
+
+    Flushes stdout and stderr under ``main``'s rule, then skips interpreter finalization
+    unless a tracer or profiler is attached.  That loses nothing: no atexit handler is
+    registered, and ``main`` returns holding no open file (``--out`` and ``--dot-dir``
+    use ``write_text``) and no thread."""
+    code = main()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):  # None if started with its fd closed
+            stream.flush()
+    except OSError as exc:  # a closed or full stdout, as in main
+        print(f"error: {exc}", file=sys.stderr)
+        code = USAGE_ERROR
+    monitoring = getattr(sys, "monitoring", None)  # where cProfile attaches from Python 3.12 on
+    if sys.gettrace() or sys.getprofile() or monitoring and any(map(monitoring.get_tool, range(6))):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -223,6 +223,8 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
 
 
 def _cli_process(argv: list[str], stdout) -> subprocess.CompletedProcess:
+    # The caller's environment, PYTHONUNBUFFERED included, so a test can run
+    # the process in either buffering mode.
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.run(
         [sys.executable, "-m", "beltmatch.cli", *argv],
@@ -233,13 +235,28 @@ def _cli_process(argv: list[str], stdout) -> subprocess.CompletedProcess:
     )
 
 
-def test_closed_stdout_is_an_unwritable_output():
+@pytest.fixture(params=["buffered", "unbuffered"])
+def buffering(request, monkeypatch):
+    # A failed write surfaces at the flush when stdout is buffered, and at the
+    # write itself when it is not; argparse's own help writer hides the latter.
+    if request.param == "unbuffered":
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    else:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+
+
+ROOTS_A2 = ["roots", "--type", "A", "--rank", "2"]
+OUTPUTS = {"roots": ROOTS_A2, "help": ["--help"], "verify-help": ["verify", "--help"]}
+
+
+@pytest.mark.parametrize("argv", OUTPUTS.values(), ids=OUTPUTS.keys())
+def test_closed_stdout_is_an_unwritable_output(argv, buffering):
     # `beltmatch ... | head -c 10`: the reader is gone before the output is
     # written, which is the user's pipeline, not a failed check or a crash.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        done = _cli_process(["roots", "--type", "A", "--rank", "2"], write_end)
+        done = _cli_process(argv, write_end)
     finally:
         os.close(write_end)
     assert done.returncode == 2
@@ -247,9 +264,12 @@ def test_closed_stdout_is_an_unwritable_output():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("target", ["stdout", "--out"])
-def test_full_output_is_an_unwritable_output(target):
-    argv = ["roots", "--type", "A", "--rank", "2"]
+@pytest.mark.parametrize(
+    "argv, target",
+    [(argv, "stdout") for argv in OUTPUTS.values()] + [(ROOTS_A2, "--out")],
+    ids=[f"{name}-stdout" for name in OUTPUTS] + ["roots-out"],
+)
+def test_full_output_is_an_unwritable_output(argv, target, buffering):
     if target == "stdout":
         with open("/dev/full", "w") as full:
             done = _cli_process(argv, full)
@@ -261,6 +281,67 @@ def test_full_output_is_an_unwritable_output(target):
     assert "Exception ignored" not in done.stderr
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 648,298 bytes, ten pipe buffers, all written before the hard exit.
+        ["expand", "--type", "A", "--rank", "20", "--root", ",".join(["1"] * 20), "--format", "text"],
+        ["verify", "--type", "B", "--rank", "4", "--checks", "all", "--format", "json"],
+        ["roots", "--type", "A", "--rank", "0"],
+        ["verify", "--help"],
+    ],
+    ids=["expand-A20", "verify-B4", "roots-A0", "verify-help"],
+)
+def test_the_entry_point_writes_what_main_returns(argv, capsys, monkeypatch):
+    # The process ends in os._exit, past any flush the interpreter would do at
+    # exit: every byte main writes must already be out.
+    monkeypatch.setenv("COLUMNS", "80")  # the help wraps alike in both
+    code = main(argv)
+    captured = capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "beltmatch.cli", *argv], env=env, capture_output=True
+    )
+    assert done.returncode == code
+    assert done.stdout == captured.out.encode()
+    assert done.stderr.decode() == captured.err
+
+
+def _entry_probe(setup: str, argv: list[str]) -> str:
+    """A ``-c`` program that runs ``python -m beltmatch.cli ARGV`` after SETUP."""
+    return (
+        f"import runpy, sys\n{setup}\n"
+        f"sys.argv = ['beltmatch', *{argv!r}]\n"
+        "runpy.run_module('beltmatch.cli', run_name='__main__')\n"
+    )
+
+
+def test_the_entry_point_skips_interpreter_finalization():
+    # No atexit hook runs: the process ends in os._exit once main's output is out.
+    setup = "import atexit\natexit.register(lambda: print('finalized', file=sys.stderr))"
+    probe = _entry_probe(setup, ROOTS_A2)
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert done.returncode == 0
+    assert done.stdout == "[[0, 1], [1, 0], [1, 1]]\n"
+    assert done.stderr == ""
+
+
+def test_a_profiled_entry_point_exits_normally():
+    # With a profiler attached the process finalizes, so cProfile prints its table.
+    env = {**os.environ, "PYTHONPATH": SRC}
+    done = subprocess.run(
+        [sys.executable, "-m", "cProfile", "-m", "beltmatch.cli", *ROOTS_A2],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0
+    assert done.stdout.startswith("[[0, 1], [1, 0], [1, 1]]\n")
+    assert "function calls" in done.stdout
+    assert "Ordered by" in done.stdout
 
 
 def test_dot_dir_on_an_existing_file_is_a_usage_error(tmp_path, capsys):
@@ -356,18 +437,17 @@ def test_a_graph_with_no_perfect_matching_is_a_crash(capsys, monkeypatch):
 
 
 def test_a_crash_exits_three_from_the_entry_point():
-    # The console script and ``python -m beltmatch.cli`` both end in
-    # sys.exit(main()); an exception raised deep in a command must reach
-    # the shell as status 3, not as Python's default status 1.
-    probe = (
-        "import sys\n"
-        "from beltmatch import cli\n"
+    # The console script and ``python -m beltmatch.cli`` both end in run(),
+    # which exits with main's code: an exception raised deep in a command must
+    # reach the shell as status 3, not as Python's default status 1.
+    setup = (
+        "from beltmatch import mutation\n"
         "def broken(*args):\n"
         "    raise OverflowError('deep in the core')\n"
-        "cli.belt = broken\n"
-        "sys.exit(cli.main(['belt', '--type', 'A', '--rank', '3']))\n"
+        "mutation.belt = broken"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = _entry_probe(setup, ["belt", "--type", "A", "--rank", "3"])
+    env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert done.returncode == 3
     assert done.stdout == ""
