@@ -9,7 +9,8 @@ exchange matrix, so every step is the sign-free exchange
 x_k' = (prod_j x_j^|b_kj| + 1) / x_k read off the initial matrix.  The belt
 is periodic up to the Dynkin involution (``dynkin_involution``), and its h
 sweeps (h the Coxeter number) hold each non-initial variable once.  So one
-period is built per (family, rank), from both ends: ceil(h/2) sweeps
+period is built per (family, rank).  A_n's is a frieze that certifies
+itself (``_frieze``); the others are built from both ends: ceil(h/2) sweeps
 forward from the initial cluster (odd slots first) and floor(h/2) backward
 from it (even slots first), where the late, shrinking variables are small.
 Epsilon fixes the initial seed too, so the belt divides once per epsilon-
@@ -333,8 +334,8 @@ def _sweeps(family: str, rank: int, groups: tuple[tuple[int, ...], ...]):
     The slots of a group are pairwise non-adjacent and a full sweep negates
     the exchange matrix, so row k keeps its initial magnitudes and one side
     of every exchange binomial is 1.  Epsilon fixes the initial seed, so a
-    slot k with epsilon(k) < k in its group (A_n and D_n, n odd) takes the
-    image of slot epsilon(k) and divides nothing.
+    slot k with epsilon(k) < k in its group (x1b of D_n, n odd; A_n, n odd,
+    which ``_period`` builds by ``_frieze``) takes the image of slot epsilon(k).
     """
     neighbours = [
         [(j, abs(b)) for j, b in enumerate(row) if b] for row in exchange_matrix(family, rank)
@@ -360,31 +361,70 @@ def _nonempty_sweeps(family: str, rank: int) -> int:
     return sum(1 for group in islice(cycle(parity_groups(family, rank)), h) if group)
 
 
+def _quiddity(n: int) -> list[LaurentPolynomial]:
+    """The first row a_0 ... a_{n+2} of the A_n frieze: x_1, Q(i) for the even
+    i in 0..n ascending, x_n, then Q(i) for the odd i in n..1 descending, where
+    Q(i) = (x_{i-1} x_{i+1} + x_i x_{i+2} + 1) / (x_i x_{i+1}) has at most 3
+    terms and reads x_0 = x_{n+1} = 1 and x_{-1} = x_{n+2} = 0."""
+    one, zero = LaurentPolynomial.one(n), LaurentPolynomial.zero(n)
+    x = [zero, one, *(LaurentPolynomial.variable(k, n) for k in range(n)), one, zero]
+
+    def q(i: int) -> LaurentPolynomial:  # x[i + 1] is x_i
+        return (x[i] * x[i + 2] + x[i + 1] * x[i + 3] + one).div_exact(x[i + 1] * x[i + 2])
+
+    return [x[2], *map(q, range(0, n + 1, 2)), x[n + 1], *map(q, range(n - 1 + n % 2, 0, -2))]
+
+
+def _frieze(n: int) -> list[tuple[tuple[int, LaurentPolynomial], ...]]:
+    """The h = n+1 sweeps of the A_n belt as a Conway-Coxeter frieze that
+    certifies itself: (slot, value) pairs in slot order, and no division.
+
+    Diagonal i starts m_{i,i} = 0, m_{i,i+1} = 1 and steps m_{i,j} =
+    a_{j-1} m_{i,j-1} - m_{i,j-2} over the first row a (``_quiddity``, mod
+    n+3); m_{i,j} is node r = j-i-1 at sweep t = i+j-1.  As a continuant,
+    m_{i,j} m_{i+1,j+1} - m_{i,j+1} m_{i+1,j} = 1 in any commutative ring: the
+    exchange of nodes 1..n, given row 0 = 1 (by construction) and row n+1 = 1.
+    So if every row-(n+1) cell reached is 1 and the cells at t = -1 (odd r)
+    and t = 0 (even r) are x_r, each exchange fixes the next cell of its
+    node and every cell is the belt's, whatever a holds; else BijectionError.
+    """
+    a, one = _quiddity(n), LaurentPolynomial.one(n)
+    sweeps: list[list[tuple[int, LaurentPolynomial]]] = [[] for _ in range(n + 1)]
+    for i in range(-((n + 1) // 2), n // 2 + 1):
+        previous, cell = LaurentPolynomial.zero(n), one
+        for r in range(1, min(n, n - 2 * i) + 2):  # to row n+1 or sweep h = n+1
+            t = 2 * i + r
+            previous, cell = cell, a[(i + r) % (n + 3)] * cell - previous
+            if r > n or t in (-1, 0):
+                if cell != (one if r > n else LaurentPolynomial.variable(r - 1, n)):
+                    raise BijectionError(f"the A_{n} frieze breaks at row {r}, sweep {t}")
+            elif t > 0:
+                sweeps[t - 1].append((r - 1, cell))
+    return [tuple(reversed(sweep)) for sweep in sweeps]
+
+
 @cache
 def _period(family: str, rank: int) -> tuple[BeltLattice, dict[RootVector, LaurentPolynomial]]:
     """The belt lattice of one period and its variables keyed by denominator vector.
 
-    Sweeps 1..ceil(h/2) run forward from the initial cluster; sweep h+1-s is
-    backward sweep s (even slots first) with each slot k moved to epsilon(k).
-    Where epsilon swaps the parity groups (A_n, n even), sweep h+1-s is the
-    epsilon-image of forward sweep s, slot for slot, and no backward sweep
-    is built; the middle sweep, its own image, is still divided out.
-    One walk computes each denominator once; variables that do not match the
-    positive roots one to one raise BijectionError.
+    A_n is the frieze of ``_frieze``.  For the other families, sweeps
+    1..ceil(h/2) run forward from the initial cluster; sweep h+1-s is
+    backward sweep s (even slots first) with each slot k moved to
+    epsilon(k).  One walk computes each denominator once; variables that do
+    not match the positive roots one to one raise BijectionError.
     """
     wanted = roots(family, rank)
     h = 2 * len(wanted) // rank
     odd, even = parity_groups(family, rank)
-    epsilon = dynkin_involution(family, rank)
-    forward = list(islice(_sweeps(family, rank, (odd, even)), (h + 1) // 2))
-    if sorted(epsilon[k] for k in odd) == list(even):
-        backward = [[(k, value.rename(epsilon)) for k, value in sweep] for sweep in forward[: h // 2]]
+    if family == "A":
+        glued = _frieze(rank)
     else:
+        epsilon = dynkin_involution(family, rank)
         backward = [
             sorted(((epsilon[k], value) for k, value in sweep), key=itemgetter(0))
             for sweep in islice(_sweeps(family, rank, (even, odd)), h // 2)
         ]
-    glued = chain(forward, reversed(backward))
+        glued = chain(islice(_sweeps(family, rank, (odd, even)), (h + 1) // 2), reversed(backward))
     rows = [
         tuple(BeltCell(k, 0, LaurentPolynomial.variable(k, rank)) for k in group)
         for group in (odd, even)

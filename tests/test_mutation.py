@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cache
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings
@@ -407,6 +408,7 @@ def test_a_cap_below_the_period_fails_before_any_sweep(family, rank, monkeypatch
         raise AssertionError("a sweep was built")
 
     monkeypatch.setattr(mutation, "_sweeps", no_sweeps)
+    monkeypatch.setattr(mutation, "_frieze", no_sweeps)
     for cap in range(1, covering):
         with pytest.raises(IterationLimitError) as capped:
             belt(family, rank, max_rows=cap)
@@ -433,17 +435,14 @@ def _epsilon_orbits(family: str, rank: int) -> int:
     return len({frozenset((value, value.substitute(image))) for value in values})
 
 
-@pytest.mark.parametrize("family,rank", REFERENCE_LADDER + [("A", 12)])
-def test_the_period_takes_half_its_sweeps_from_each_end(family, rank, monkeypatch, cold_period):
-    # Where epsilon swaps the parity groups (A_n, n even), the backward half
-    # is the image of the forward half and no backward sweep is pulled;
-    # every other rung pulls ceil(h/2) sweeps forward and floor(h/2) back.
-    # Either way the belt divides once per epsilon-orbit of non-initial cells.
+def _counting_sweeps_and_divisions(monkeypatch, family, rank):
+    """Patch ``_sweeps`` and ``div_exact`` to count the sweeps pulled per
+    group order and the divisions; return both counters."""
     odd, even = parity_groups(family, rank)
     pulled = {(odd, even): 0, (even, odd): 0}
+    divisions = [0]
     sweeps = mutation._sweeps
     div_exact = LP.div_exact
-    divisions = 0
 
     def counted(family, rank, groups):
         for sweep in sweeps(family, rank, groups):
@@ -451,20 +450,36 @@ def test_the_period_takes_half_its_sweeps_from_each_end(family, rank, monkeypatc
             yield sweep
 
     def counted_division(self, divisor):
-        nonlocal divisions
-        divisions += 1
+        divisions[0] += 1
         return div_exact(self, divisor)
 
     monkeypatch.setattr(mutation, "_sweeps", counted)
     monkeypatch.setattr(LP, "div_exact", counted_division)
+    return pulled, divisions
+
+
+@pytest.mark.parametrize("family,rank", [c for c in REFERENCE_LADDER if c[0] != "A"])
+def test_the_period_takes_half_its_sweeps_from_each_end(family, rank, monkeypatch, cold_period):
+    # Every family but A pulls ceil(h/2) sweeps forward and floor(h/2) back,
+    # and divides once per epsilon-orbit of non-initial cells.
+    pulled, divisions = _counting_sweeps_and_divisions(monkeypatch, family, rank)
     belt(family, rank)
     monkeypatch.undo()
+    odd, even = parity_groups(family, rank)
     h = _coxeter_number(family, rank)
-    backward = 0 if family == "A" and rank % 2 == 0 else h // 2
-    assert pulled == {(odd, even): (h + 1) // 2, (even, odd): backward}
-    assert divisions == _epsilon_orbits(family, rank)
-    if (family, rank) == ("A", 12):
-        assert (len(roots(family, rank)), divisions) == (78, 42)
+    assert pulled == {(odd, even): (h + 1) // 2, (even, odd): h // 2}
+    assert divisions == [_epsilon_orbits(family, rank)]
+
+
+@pytest.mark.parametrize("rank", list(range(1, 13)))
+def test_the_a_frieze_pulls_no_sweep_and_divides_once_per_first_row_entry(rank, monkeypatch, cold_period):
+    # A_n is built as a frieze: its cells are products and subtractions, and
+    # only the n+1 entries Q(i) of its first row divide (by a monomial).
+    pulled, divisions = _counting_sweeps_and_divisions(monkeypatch, "A", rank)
+    belt("A", rank)
+    monkeypatch.undo()
+    assert set(pulled.values()) == {0}
+    assert divisions == [rank + 1]
 
 
 def test_a1_cap_of_one_sweep_succeeds():
@@ -477,8 +492,13 @@ def test_a1_cap_of_one_sweep_succeeds():
 def test_a_duplicated_value_fails_the_period_walk(family, rank, monkeypatch, cold_period):
     # The second forward sweep repeats a value of the first in place of its
     # own first value, so one positive root is left without a variable.
-    sweeps = mutation._sweeps
+    # A_n's sweeps all come from the frieze, so the repeat goes there.
+    sweeps, frieze = mutation._sweeps, mutation._frieze
     odd, even = parity_groups(family, rank)
+
+    def duplicating_frieze(rank):
+        first, ((slot, _), *rest), *later = frieze(rank)
+        return [first, ((slot, first[0][1]), *rest), *later]
 
     def duplicating(family, rank, groups):
         generated = sweeps(family, rank, groups)
@@ -491,7 +511,10 @@ def test_a_duplicated_value_fails_the_period_walk(family, rank, monkeypatch, col
         yield ((slot, first[0][1]), *rest)
         yield from generated
 
-    monkeypatch.setattr(mutation, "_sweeps", duplicating)
+    if family == "A":
+        monkeypatch.setattr(mutation, "_frieze", duplicating_frieze)
+    else:
+        monkeypatch.setattr(mutation, "_sweeps", duplicating)
     with pytest.raises(BijectionError):
         belt(family, rank)
     with pytest.raises(BijectionError):
@@ -500,14 +523,15 @@ def test_a_duplicated_value_fails_the_period_walk(family, rank, monkeypatch, col
 
 def test_diamonds_catch_backward_values_placed_without_the_involution(monkeypatch):
     # The labels of the backward values rest on periodicity; the diamond
-    # check is their certificate, so a wrong epsilon must fail it.
+    # check is their certificate, so a wrong epsilon must fail it.  A_n is
+    # built as a frieze and reads no epsilon (see the glide tests below).
     def clear():
         _period.cache_clear()
 
     clear()
     monkeypatch.setattr(mutation, "dynkin_involution", lambda family, rank: tuple(range(rank)))
     try:
-        for family, rank in [("A", 3), ("D", 5)]:
+        for family, rank in [("D", 5), ("D", 7)]:
             result = check_belt_diamonds(family, rank)
             assert not result.passed, (family, rank)
             assert "counterexample" in result.details
@@ -515,19 +539,68 @@ def test_diamonds_catch_backward_values_placed_without_the_involution(monkeypatc
         clear()
 
 
-@pytest.mark.parametrize(
-    "family,rank,error",
-    [("A", 3, "BijectionError"), ("A", 4, "BijectionError"),
-     ("A", 5, "InexactDivisionError"), ("D", 5, "InexactDivisionError")],
-)
-def test_diamonds_catch_mirrored_values_left_unrenamed(family, rank, error, monkeypatch, cold_period):
-    # Mirrored cells rest on the symmetry of epsilon, not on a division of
-    # their own; a renaming that does nothing must fail the diamond check:
-    # the period walk or a later exchange raises, and the check records it.
+@pytest.mark.parametrize("family,rank", [("D", 5), ("D", 7)])
+def test_diamonds_catch_mirrored_values_left_unrenamed(family, rank, monkeypatch, cold_period):
+    # Mirrored cells (x1b of D_n, n odd) rest on the symmetry of epsilon, not
+    # on a division of their own; a renaming that does nothing must fail the
+    # diamond check: a later exchange raises, and the check records it.
     monkeypatch.setattr(LP, "rename", lambda self, perm: self)
     result = check_belt_diamonds(family, rank)
     assert not result.passed
-    assert result.details["error"].startswith(f"{error}: ")
+    assert result.details["error"].startswith("InexactDivisionError: ")
+
+
+# -- the A_n frieze --------------------------------------------------------------------
+
+
+def _faulty_first_row(monkeypatch, fault):
+    """Patch ``_quiddity`` to return ``fault`` applied to the true first row."""
+    quiddity = mutation._quiddity
+    monkeypatch.setattr(mutation, "_quiddity", lambda n: fault(quiddity(n)))
+
+
+@pytest.mark.parametrize("rank", list(range(1, 15)))
+def test_the_frieze_matches_the_division_belt_cell_for_cell(rank):
+    # ``_sweeps`` run forward h = n+1 sweeps is the division algorithm the
+    # other families still use; the frieze must give the same cells.
+    odd, even = parity_groups("A", rank)
+    reference = list(islice(mutation._sweeps("A", rank, (odd, even)), rank + 1))
+    assert mutation._frieze(rank) == reference
+
+
+@pytest.mark.parametrize("rank", [6, 7])
+def test_a_wrong_first_row_entry_breaks_the_frieze(rank, monkeypatch):
+    # Each entry of the first row reaches a cell, so a +1 in any one of them
+    # changes a cell and must fail the frieze's own certificate.
+    for k in range(rank + 3):
+        def plus_one(row, k=k):
+            return row[:k] + [row[k] + LP.one(rank)] + row[k + 1 :]
+
+        _faulty_first_row(monkeypatch, plus_one)
+        with pytest.raises(BijectionError, match=rf"^the A_{rank} frieze breaks at row \d+, sweep -?\d+$"):
+            mutation._frieze(rank)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("rank", list(range(1, 13)))
+def test_a_glide_offset_by_one_pair_breaks_the_frieze(rank, monkeypatch, cold_period):
+    # Rotating the first row by one entry moves every diagonal by one, so
+    # each cell lands one pair of sweeps (t -> t-2) away from its place.
+    _faulty_first_row(monkeypatch, lambda row: row[1:] + row[:1])
+    with pytest.raises(BijectionError):
+        belt("A", rank)
+    result = check_belt_diamonds("A", rank)
+    assert not result.passed
+    assert result.details["error"].startswith(f"BijectionError: the A_{rank} frieze breaks at ")
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5])
+def test_diamonds_record_a_wrong_first_row_entry(rank, monkeypatch, cold_period):
+    # The A_n analogue of an unrenamed mirror: one Q of the first row off by 1.
+    _faulty_first_row(monkeypatch, lambda row: [row[0], row[1] + LP.one(rank), *row[2:]])
+    result = check_belt_diamonds("A", rank)
+    assert not result.passed
+    assert result.details["error"].startswith(f"BijectionError: the A_{rank} frieze breaks at ")
 
 
 # -- noninitial_variables --------------------------------------------------------------
