@@ -1,22 +1,20 @@
 """Seed mutation and the bipartite belt.
 
-This is the oracle side of the package: exchange-matrix mutation, binomial
-seed exchange, and row-by-row generation of cluster variables by mutating
-all odd-labelled directions, then all even-labelled ones, in turn.
-
-The belt itself runs no seed mutation.  A bipartite sweep only negates the
-exchange matrix, so every step is the sign-free exchange
-x_k' = (prod_j x_j^|b_kj| + 1) / x_k read off the initial matrix, and the h
-sweeps of one period (h the Coxeter number) hold each non-initial variable
-once.  So one period is built per (family, rank), as a frieze that certifies
-itself (``_frieze``): along each diagonal a cell is one product and one
-subtraction.  A_n's frieze runs on its path; D_n's on the path x_{n-1},
-..., x_2, x_1 x_1b that ends in its fork.  Past the first row, only the
-fork cells x_1 and x_1b divide, each by its own previous cell, and they are
-small.  B_n, C_n and G_2 run the frieze of D_{n+1}, A_{2n-1} and D_4 in
-their own rings, folded (``_family_frieze``).  The period walk
-(``_period``), ``verify --checks theorem`` and ``diamonds`` check every
-cell again.
+The belt runs no seed mutation.  A bipartite sweep only negates the
+exchange matrix, so every step is the sign-free exchange x_k' = (prod_j
+x_j^|b_kj| + 1) / x_k read off the initial matrix, and the h sweeps of one
+period (h the Coxeter number) hold each non-initial variable once.  So one
+period is built per (family, rank), as a frieze that certifies itself
+(``_frieze``): along each diagonal a cell is one product and one
+subtraction.  It has two shapes: A_n's path x_1..x_n, and D_n's path x_{n-1},
+..., x_2, x_1 x_1b that ends in its fork, where past the first row only the
+fork cells x_1 and x_1b divide, each by its own previous cell.  B_n, C_n
+and G_2 run the frieze of D_{n+1}, A_{2n-1} and D_4 in their own rings,
+each slot folded by one table (``_unfolded``); cells that fold onto one
+slot must agree.  The period walk (``_period``), ``verify --checks
+theorem`` and ``diamonds`` check every cell again.  ``Seed.mutate`` keeps
+the binomial exchange with matrix mutation as a reference the belt does not
+call.
 
 Every per-node convention is read off one Dynkin diagram per (family,
 rank): ``nodes`` gives the node each slot of the ambient ring holds (for
@@ -299,47 +297,50 @@ class BeltLattice(NamedTuple):
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _noninitial_denominator(value: LaurentPolynomial) -> RootVector | None:
-    """The denominator vector of a non-initial variable; None for an initial one.
-
-    The denominator vector is the negated minimum exponent vector.  Initial
-    variables have a -1 entry; non-initial ones a nonzero nonnegative vector.
-    """
-    denominator = tuple(-m for m in value.min_exponents())
-    if all(d >= 0 for d in denominator) and any(denominator):
-        return denominator
-    return None
-
-
 def _nonempty_sweeps(family: str, rank: int) -> int:
     """Sweeps of one period that write a row: h, less A_1's empty even sweep."""
     h = 2 * len(roots(family, rank)) // rank
     return sum(1 for group in islice(cycle(parity_groups(family, rank)), h) if group)
 
 
+def _unfolded(family: str, rank: int) -> tuple[str, int, tuple[int, ...]]:
+    """The simply-laced belt that folds onto the belt of (family, rank): its
+    family, its rank, and the slot each of its slots folds to.  C_n unfolds
+    to A_{2n-1} (x_r, x_{2n-r} to x_{|n-r|+1}), B_n to D_{n+1} (x_1b to x_1)
+    and G_2 to D_4 (x_1b, x_3 to x_1); A_n and D_n are their own."""
+    if family == "C":
+        return "A", 2 * rank - 1, tuple(abs(rank - 1 - k) for k in range(2 * rank - 1))
+    if family == "B":
+        return "D", rank + 1, tuple(max(k - 1, 0) for k in range(rank + 1))
+    if family == "G2":
+        return "D", 4, (0, 0, 1, 0)
+    return family, rank, tuple(range(rank))
+
+
 def _first_row(path: list[LaurentPolynomial], fork: bool, s: int) -> list[LaurentPolynomial]:
-    """The first row of the frieze whose rows 1..m start at ``path`` = y_1..y_m.
+    """The first row of the frieze whose rows 1..m start at ``path`` = y_1..y_m,
+    where row m is its top row.
 
     Q(i) = (y_{i-1} y_{i+1} + y_i y_{i+2} + 1) / (y_i y_{i+1}) reads y_0 = 1
     and y_{-1} = 0, has at most 3 terms (4 at a fork's Q(m-1)), and divides
-    by the monomial y_i y_{i+1}.  A path (A_m) reads y_{m+1} = 1 and y_{m+2}
-    = 0; its row is y_1, Q(even i in 0..m) ascending, y_m, Q(odd i in m..1)
-    descending.  A fork (D_{m+1}, y_m the fork product) reads y_{m+1} =
-    y_{m-1} + 2, the row past the fork, so Q(m-1) = (y_{m-2} y_m + (y_{m-1} +
-    1)^2) / (y_{m-1} y_m); its row is y_1, Q(even i in 0..m-1) ascending,
+    by the monomial y_i y_{i+1}.  A path (A_{m-1}, y_m = 1) reads y_{m+1} =
+    0; its row is y_1, Q(even i in 0..m-1) ascending, y_{m-1}, Q(odd i in
+    m-1..1) descending.  A fork (D_{m+1}, y_m the fork product) reads y_{m+1}
+    = y_{m-1} + 2, the row past the fork, so Q(m-1) = (y_{m-2} y_m + (y_{m-1}
+    + 1)^2) / (y_{m-1} y_m); its row is y_1, Q(even i in 0..m-1) ascending,
     Q(odd i in m-1..1) descending.  Either row runs backward after y_1 when
     row 1 is an even node (s = 1).
     """
     nvars = path[0].nvars
     one, zero = LaurentPolynomial.one(nvars), LaurentPolynomial.zero(nvars)
-    y = [zero, one, *path, *([path[-2] + one + one] if fork else [one, zero])]
+    y = [zero, one, *path, path[-2] + one + one if fork else zero]
 
     def q(i: int) -> LaurentPolynomial:  # y[i + 1] is y_i
         return (y[i] * y[i + 2] + y[i + 1] * y[i + 3] + one).div_exact(y[i + 1] * y[i + 2])
 
-    m = len(path) - fork  # the last i
+    m = len(path) - 1  # the last i
     evens, odds = map(q, range(0, m + 1, 2)), map(q, range(m - 1 + m % 2, 0, -2))
-    rest = [*evens, *([] if fork else path[-1:]), *odds]
+    rest = [*evens, *([] if fork else path[-2:-1]), *odds]
     return [path[0], *(reversed(rest) if s else rest)]
 
 
@@ -353,25 +354,26 @@ def _frieze(
     path: list[LaurentPolynomial],
     slots: Sequence[int],
     s: int,
-    fork: tuple[int, ...] = (),
+    fork: tuple[int, ...],
 ) -> list[tuple[tuple[int, LaurentPolynomial], ...]]:
     """The h sweeps of a belt as a frieze that certifies itself: (slot, value)
-    pairs in slot order.  Row r starts at ``path[r-1]`` and is written to
-    ``slots[r-1]``; rows past ``slots`` are walked but not written.  s is 1
-    when row 1 is an even node, else 0.
+    pairs in slot order.  Row r starts at ``path[r-1]``; each row below the
+    top row T = len(path) is written to ``slots[r-1]``, and row T is the
+    product of the fork cells, one per entry of ``fork``.  s is 1 when row 1
+    is an even node, else 0.
 
     Diagonal i starts m_{i,i} = 0, m_{i,i+1} = 1 and steps m_{i,j} =
     a_{j-1} m_{i,j-1} - m_{i,j-2} over the first row a (``_first_row``, read
     cyclically); m_{i,j} is row r = j-i-1 at sweep t = 2i+r+s.  As a
     continuant, m_{i,j} m_{i+1,j+1} - m_{i,j+1} m_{i+1,j} = 1 in any
-    commutative ring: the exchange of each row r below the top row T, read
-    with row 0 = 1 (by construction) and row T.  There are two shapes:
+    commutative ring: the exchange of each row r below T, read with row 0 =
+    1 (by construction) and row T.  There are two shapes:
 
-    * A path (A_m, no ``fork``): T = m+1 must be a row of 1s; h = m+1.
-    * A fork (D_{m+1}): T = m must be the product of the fork cells, one per
-      entry of ``fork`` (x_1 x_1b; x_1^2 when both entries name one slot);
-      h = 2m.  The fork cells start at their variables and step by
-      ``_fork_step``, the fork nodes' own exchange, as an exact division.
+    * A path (A_{T-1}, no ``fork``): row T is the empty product, a row of
+      1s; h = T.
+    * A fork (D_{T+1}): row T is x_1 x_1b; h = 2T.  The fork cells start at
+      their variables and step by ``_fork_step``, the fork nodes' own
+      exchange, as an exact division.
 
     Every row-T cell reached is checked, and so is every cell of rows 1..T-1
     at t = -1 (odd node) and t = 0 (even node) against ``path``.  Then each
@@ -379,19 +381,17 @@ def _frieze(
     whatever a holds.  A slot written twice in one sweep must get the same
     value both times.  Anything else raises BijectionError.
 
-    Run in a folded family's ring, this certifies that family's belt
-    (``_family_frieze``).  B_n's fork product is x_1^2, so row T-1 steps by
-    B_n's exchange x_2 x_2' = x_1^2 x_3 + 1.  G_2 writes row 1 and the fork
-    cell to one slot, so row 2 steps by x_2 x_2' = x_1^3 + 1.  C_n's 2n-1
-    rows start symmetric, x_r = x_{2n-r}, and rows r and 2n-r step by the
-    same exchange, so the same induction gives c_r = c_{2n-r} in every sweep.
-    So the middle row n steps by C_n's x_1 x_1' = x_2^2 + 1 without a mirror
-    check.
+    Run in a folded ring (``_family_frieze``), two cells that fold onto one
+    slot are checked against each other: B_n's two fork cells, G_2's row 1
+    and fork cell, and C_n's rows r and 2n-r.  So B_n's row T-1 steps by x_2
+    x_2' = x_1^2 x_3 + 1, G_2's row 2 by x_2 x_2' = x_1^3 + 1 and C_n's row
+    n by x_1 x_1' = x_2^2 + 1, each family's own exchange.
     """
     a = _first_row(path, bool(fork), s)
     nvars = path[0].nvars
     one = LaurentPolynomial.one(nvars)
-    top, h = (len(path), 2 * len(path)) if fork else (len(path) + 1, len(path) + 1)
+    top = len(path)
+    h = 2 * top if fork else top
     cells = {k: LaurentPolynomial.variable(k, nvars) for k in fork}
     sweeps: list[dict[int, LaurentPolynomial]] = [{} for _ in range(h)]
 
@@ -407,14 +407,11 @@ def _frieze(
         for r in range(1, min(top, h - 2 * i - s) + 1):  # to row T or sweep h
             t = 2 * i + r + s
             previous, cell = cell, a[(i + r) % len(a)] * cell - previous
-            if r < top:
-                if t in (-1, 0):
-                    check(cell == path[r - 1], r, t)
-                elif t > 0 and r <= len(slots):
-                    write(r, t, slots[r - 1], cell)
-            elif not fork:
-                check(cell == one, r, t)
-            else:
+            if r < top and t in (-1, 0):
+                check(cell == path[r - 1], r, t)
+            elif r < top and t > 0:
+                write(r, t, slots[r - 1], cell)
+            elif r == top:
                 if t > 0:
                     try:
                         cells = {k: _fork_step(previous, value) for k, value in cells.items()}
@@ -427,39 +424,32 @@ def _frieze(
 
 
 def _family_frieze(family: str, rank: int) -> list[tuple[tuple[int, LaurentPolynomial], ...]]:
-    """The h sweeps of one period of the belt: each family's frieze, run in
-    its own ring (``_frieze``).
+    """The h sweeps of one period of the belt: the frieze of the family's
+    simply-laced source (``_unfolded``), run in the family's own ring
+    (``_frieze``).
 
-    A_n is the path x_1..x_n and D_n the fork x_{n-1}, ..., x_2, x_1 x_1b
-    (Baur and Marsh, "Frieze patterns for punctured discs", J. Algebraic
-    Combin. 30, 2009).  The others fold: B_n is the fork of D_{n+1} with x_1b
-    = x_1, G_2 the fork of D_4 with x_1b = x_3 = x_1, and C_n the path of
-    A_{2n-1} with x_r = x_{|n-r|+1}, whose rows r <= n write slot n-r.
+    The source is the path x_1..x_m of A_m or the fork x_{m-1}, ..., x_2,
+    x_1 x_1b of D_m (Baur and Marsh, "Frieze patterns for punctured discs",
+    J. Algebraic Combin. 30, 2009).  Each of its slots starts at the
+    variable of the slot it folds to and is written there.
     """
-    x = [LaurentPolynomial.variable(k, rank) for k in range(rank)]
-    fork: tuple[int, ...] = ()
-    if family == "A":
-        slots, path = range(rank), x
-    elif family == "C":
-        slots, path = range(rank - 1, -1, -1), [x[abs(rank - r)] for r in range(1, 2 * rank)]
-    else:
-        slots, fork = {
-            "D": (range(rank - 1, 1, -1), (0, 1)),  # x_{n-1}, ..., x_2; x_1 x_1b
-            "B": (range(rank - 1, 0, -1), (0, 0)),  # x_n, ..., x_2; x_1^2
-            "G2": ((0, 1), (0, 0)),  # x_1, x_2; x_1^2
-        }[family]
-        path = [*(x[k] for k in slots), x[fork[0]] * x[fork[1]]]
+    source, m, fold = _unfolded(family, rank)
+    arm, fork = (range(m), ()) if source == "A" else (range(m - 1, 1, -1), (0, 1))
+    x = [LaurentPolynomial.variable(k, rank) for k in fold]
+    path = [*(x[k] for k in arm), math.prod((x[k] for k in fork), start=LaurentPolynomial.one(rank))]
+    slots = [fold[k] for k in arm]
     even = 1 - nodes(family, rank)[slots[0]] % 2  # row 1 is an even node
-    return _frieze(f"{family}_{rank}", path, slots, even, fork)
+    return _frieze(f"{family}_{rank}", path, slots, even, tuple(fold[k] for k in fork))
 
 
 @cache
 def _period(family: str, rank: int) -> tuple[BeltLattice, dict[RootVector, LaurentPolynomial]]:
     """The belt lattice of one period and its variables keyed by denominator vector.
 
-    The sweeps come from ``_family_frieze``.  One walk computes each
-    denominator once; variables that do not match the positive roots one to
-    one raise BijectionError.
+    The sweeps come from ``_family_frieze``.  One walk keys each cell by its
+    denominator vector, the negated minimum exponents.  Two values on one
+    key, or keys that are not the positive roots (an initial variable's has
+    a -1 entry), raise BijectionError.
     """
     wanted = roots(family, rank)
     odd, even = parity_groups(family, rank)
@@ -473,19 +463,13 @@ def _period(family: str, rank: int) -> tuple[BeltLattice, dict[RootVector, Laure
             continue  # A_1's even sweep
         rows.append(tuple(BeltCell(k, sweep, value) for k, value in cells))
         for _, value in cells:
-            denominator = _noninitial_denominator(value)
-            if denominator is None:
-                continue  # an initial variable, which a sound period does not hold
-            seen = variables.get(denominator)
-            if seen is not None and seen != value:
+            denominator = tuple(-m for m in value.min_exponents())
+            if variables.setdefault(denominator, value) != value:
                 raise BijectionError(f"two distinct variables share denominator {denominator}")
-            variables[denominator] = value
     if set(variables) != set(wanted):
         raise BijectionError(
             f"denominator vectors {sorted(variables)} do not match the positive roots"
         )
-    if len(set(variables.values())) != len(variables):
-        raise BijectionError("cluster variables are not pairwise distinct")
     values = {(cell.slot, cell.superscript): cell.value for row in rows for cell in row}
     return BeltLattice(family, rank, tuple(rows), MappingProxyType(values)), variables
 

@@ -17,7 +17,6 @@ from beltmatch.mutation import (
     BeltCell,
     ExchangeMatrix,
     Seed,
-    _noninitial_denominator,
     _period,
     belt,
     exchange_matrix,
@@ -345,8 +344,8 @@ def _forward_belt(family: str, rank: int) -> tuple[tuple[BeltCell, ...], ...]:
             seed = seed.mutate(k)
         rows.append(tuple(BeltCell(k, sweep, seed.cluster[k]) for k in group))
         for cell in rows[-1]:
-            denominator = _noninitial_denominator(cell.value)
-            if denominator is not None:
+            denominator = tuple(-m for m in cell.value.min_exponents())
+            if all(d >= 0 for d in denominator) and any(denominator):
                 covered.add(denominator)
     return tuple(rows)
 
@@ -651,6 +650,46 @@ def test_a_sign_flipped_fork_is_left_to_the_diamonds(family, rank, monkeypatch, 
     assert not result.passed
     assert result.details["counterexample"]["column"] == 0
     assert result.details["counterexample"]["superscripts"] == [0, 1]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4, 5])
+def test_c_mirrored_rows_are_checked_against_each_other(rank):
+    # C_n's A_{2n-1} frieze writes rows r and 2n-r to one slot.  Started with
+    # its last row at x_1 in place of x_n, it is still a frieze that closes on
+    # a row of 1s, so only that shared slot can catch the fault.
+    fold = mutation._unfolded("C", rank)[2]
+    path = [LP.variable(k, rank) for k in fold[:-1]] + [LP.variable(0, rank), LP.one(rank)]
+    with pytest.raises(BijectionError, match=_breaks("C", rank)):
+        mutation._frieze(f"C_{rank}", path, fold, 1 - rank % 2, ())
+
+
+def _fold_faults(family: str, rank: int):
+    """``_unfolded`` with one entry of its slot map folded to a wrong slot,
+    for every entry and every wrong slot."""
+    source, m, fold = mutation._unfolded(family, rank)
+    for k, right in enumerate(fold):
+        for wrong in range(rank):
+            if wrong != right:
+                yield source, m, fold[:k] + (wrong,) + fold[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("C", r) for r in range(2, 7)] + [("B", r) for r in (3, 4, 5)] + [("G2", 2)]
+)
+def test_a_wrong_fold_entry_breaks_the_belt_and_the_diamonds(family, rank, monkeypatch, cold_period):
+    # A source slot folded to a wrong slot starts its row at the wrong
+    # variable and writes it to the wrong slot.  The fold must not certify
+    # a belt: ``belt`` raises, and the diamond check records the same error.
+    for fault in _fold_faults(family, rank):
+        monkeypatch.setattr(mutation, "_unfolded", lambda *args: fault)
+        _period.cache_clear()
+        with pytest.raises(BijectionError) as broken:
+            belt(family, rank)
+        _period.cache_clear()
+        result = check_belt_diamonds(family, rank)
+        monkeypatch.undo()
+        assert not result.passed, fault
+        assert result.details["error"] == f"BijectionError: {broken.value}"
 
 
 # -- noninitial_variables --------------------------------------------------------------
