@@ -1,10 +1,10 @@
 """Exact cluster variables of classical type, two ways.
 
 Non-initial cluster variables of the coefficient-free cluster algebras of
-types A_n, B_n, C_n, D_n and G_2 are computed by binomial seed mutation
-along the bipartite belt and, independently, by weighted perfect-matching
-enumeration over glued tile graphs; the two routes agree exactly, and the
-verify module checks that agreement together with the supporting identities
+types A_n, B_n, C_n, D_n and G_2 are computed by a belt frieze that certifies
+each cell as it goes and, independently, as weighted perfect matchings of
+glued tile graphs over x^root; the two routes agree exactly, and the verify
+module checks that agreement together with the supporting identities
 (graphical condensation, excision, folding, diamond conditions).
 
 Everything is exact integer arithmetic; there are no floats anywhere.
@@ -40,7 +40,7 @@ from .mutation import (
     noninitial_variables,
     variable_names,
 )
-from .rootsys import CartanSpec, positive_roots
+from .rootsys import positive_roots
 from .tilegraphs import (
     MatchingGraph,
     Tile,
@@ -66,7 +66,6 @@ __all__ = [
     "BeltLattice",
     "BijectionError",
     "CheckSelectionError",
-    "CartanSpec",
     "DimensionMismatchError",
     "ExchangeMatrix",
     "ExponentOverflowError",

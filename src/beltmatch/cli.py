@@ -21,13 +21,11 @@ import json
 import os
 import sys
 from contextlib import redirect_stdout
-from operator import add
 from pathlib import Path
 from typing import NoReturn
 
 from .errors import CheckSelectionError, IterationLimitError, UnsupportedTypeError
-from .laurent import MonomialFactorization
-from .matchenum import root_matching_polynomial
+from .matchenum import cluster_expansion
 from .mutation import (
     FAMILIES,
     belt,
@@ -124,15 +122,9 @@ def cmd_graphs(args: argparse.Namespace) -> tuple[int, str]:
     )
 
 
-def _expansion(args: argparse.Namespace, root: tuple[int, ...]) -> MonomialFactorization:
-    # The expansion is P / x^root: P's own numerator over x^(root - min exponents of P).
-    numerator, shift = root_matching_polynomial(args.type, args.rank, root).split()
-    return MonomialFactorization(numerator, tuple(map(add, root, shift)))
-
-
 def _expansion_fields(args: argparse.Namespace, root: tuple[int, ...], names: tuple[str, ...]) -> dict:
     """The JSON fields of an expansion, rendered, so no polynomial outlives this call."""
-    split = _expansion(args, root)
+    split = cluster_expansion(args.type, args.rank, root)
     numerator = split.numerator.to_text(names)
     return {
         "root": list(root),
@@ -149,7 +141,7 @@ def cmd_expand(args: argparse.Namespace) -> tuple[int, str]:
     names = variable_names(args.type, args.rank)
     if args.format == "json":
         return 0, json.dumps(_expansion_fields(args, root, names), indent=2, sort_keys=True)
-    return 0, _expansion(args, root).to_text(names)
+    return 0, cluster_expansion(args.type, args.rank, root).to_text(names)
 
 
 def cmd_verify(args: argparse.Namespace) -> tuple[int, str]:

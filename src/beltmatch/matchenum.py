@@ -16,9 +16,10 @@ a time however long the strip is.
 from __future__ import annotations
 
 from collections import deque
+from operator import add
 
 from .errors import BijectionError
-from .laurent import LaurentPolynomial
+from .laurent import LaurentPolynomial, MonomialFactorization
 from .rootsys import RootVector
 from .tilegraphs import MatchingEdge, MatchingGraph, graph_for_root, realize
 
@@ -135,19 +136,12 @@ def strip_transfer_polynomial(
     return prev1
 
 
-def root_matching_polynomial(family: str, rank: int, root: RootVector) -> LaurentPolynomial:
-    """P(G_root), the matching polynomial of the family graph of ``root``.
-
-    Raises BijectionError when ``root`` has no family graph or that graph
-    has no perfect matching.
-    """
+def cluster_expansion(family: str, rank: int, root: RootVector) -> MonomialFactorization:
+    """P(G_root) / x^root, as P's monomial-free numerator over x^(root - min
+    exponents of P).  Raises BijectionError when ``root`` has no family graph
+    or that graph has no perfect matching."""
     polynomial = matching_polynomial(realize(graph_for_root(family, rank, root)))
     if polynomial.is_zero:
         raise BijectionError(f"graph for root {root} has no perfect matching")
-    return polynomial
-
-
-def cluster_expansion(family: str, rank: int, root: RootVector) -> LaurentPolynomial:
-    """P(G_root) divided exactly by the monomial x^root (the matching route)."""
-    shift = LaurentPolynomial.monomial(1, tuple(-e for e in root))
-    return root_matching_polynomial(family, rank, root) * shift
+    numerator, shift = polynomial.split()
+    return MonomialFactorization(numerator, tuple(map(add, root, shift)))

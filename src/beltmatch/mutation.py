@@ -35,7 +35,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .errors import BijectionError, InexactDivisionError, IterationLimitError, UnsupportedTypeError
 from .laurent import LaurentPolynomial
-from .rootsys import CartanSpec, RootVector, positive_roots
+from .rootsys import RootVector, positive_roots
 
 FAMILIES = ("A", "B", "C", "D", "G2")
 
@@ -104,8 +104,9 @@ def exchange_matrix(family: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 @cache
 def roots(family: str, rank: int) -> tuple[RootVector, ...]:
-    """The positive roots of the Cartan matrix derived from ``exchange_matrix``."""
-    return positive_roots(CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank)))
+    """The positive roots of the Cartan matrix a_ii = 2, a_ij = -|b_ij| of ``exchange_matrix``."""
+    b = exchange_matrix(family, rank)
+    return positive_roots([[2 if i == j else -abs(b[i][j]) for j in range(rank)] for i in range(rank)])
 
 
 def parity_groups(family: str, rank: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

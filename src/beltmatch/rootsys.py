@@ -1,16 +1,16 @@
 """Positive roots of A_n, B_n, C_n, D_n and G_2 in simple-root coordinates.
 
-The Cartan matrix is derived from the same exchange matrix that seeds the
-mutation belt (a_ii = 2, a_ij = -|b_ij|), so the labelling conventions --
-which node carries the double bond, the (1, 1bar, 2, ..., n-1) order for
-D_n -- automatically agree with the rest of the package.  Roots are computed
+``positive_roots`` takes Cartan rows; ``mutation.roots`` reads them off the
+initial exchange matrix (a_ii = 2, a_ij = -|b_ij|), so the labelling
+conventions -- which node carries the double bond, the (1, 1bar, 2, ...,
+n-1) order for D_n -- agree with the rest of the package.  Roots are computed
 by upward reflection closure from the simple roots: each round applies to the
 newest roots only the simple reflections that raise them.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Sequence
 
 from .errors import IterationLimitError
 
@@ -24,29 +24,10 @@ def _closure_round_cap(rank: int) -> int:
     return 4 * rank + 16
 
 
-class CartanSpec(NamedTuple):
-    family: str
-    rank: int
-    cartan: tuple[tuple[int, ...], ...]
+def positive_roots(cartan: Sequence[Sequence[int]]) -> tuple[RootVector, ...]:
+    """All positive roots of the Cartan rows ``cartan``, sorted lexicographically.
 
-    @classmethod
-    def from_exchange(
-        cls, family: str, rank: int, exchange_rows: tuple[tuple[int, ...], ...]
-    ) -> CartanSpec:
-        n = len(exchange_rows)
-        cartan = tuple(
-            tuple(2 if i == j else -abs(exchange_rows[i][j]) for j in range(n))
-            for i in range(n)
-        )
-        for i in range(n):
-            for j in range(n):
-                if i != j and (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                    raise ValueError(f"Cartan zero pattern is not symmetric at ({i}, {j})")
-        return cls(family, rank, cartan)
-
-
-def positive_roots(spec: CartanSpec) -> tuple[RootVector, ...]:
-    """All positive roots, sorted lexicographically.
+    Raises ValueError unless a_ij and a_ji are zero together.
 
     Every non-simple positive root is s_j of a lower one, alpha, whose pairing
     p_j = sum_i alpha_i * a_ij is negative (Humphreys, Introduction to Lie
@@ -55,8 +36,12 @@ def positive_roots(spec: CartanSpec) -> tuple[RootVector, ...]:
     nonnegative and nonzero by construction.  Each pairing sums over the
     support of alpha and the nonzero entries of the Cartan rows.
     """
-    n = len(spec.cartan)
-    rows = [[(j, a) for j, a in enumerate(row) if a] for row in spec.cartan]
+    n = len(cartan)
+    for i, row in enumerate(cartan):
+        for j, a in enumerate(row):
+            if i != j and (a == 0) != (cartan[j][i] == 0):
+                raise ValueError(f"Cartan zero pattern is not symmetric at ({i}, {j})")
+    rows = [[(j, a) for j, a in enumerate(row) if a] for row in cartan]
     simple = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
     roots: set[RootVector] = set(simple)
     frontier = set(simple)

@@ -121,7 +121,7 @@ def verify_theorem(family: str, rank: int) -> tuple[bool, dict]:
                 "belt": expected.to_text(names),
             }
             return False, details
-        got = cluster_expansion(family, rank, root)
+        got = cluster_expansion(family, rank, root).recombine()
         if got != expected:
             details["counterexample"] = {
                 "root": list(root),

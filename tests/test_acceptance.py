@@ -18,8 +18,8 @@ from beltmatch.matchenum import (
     matching_polynomial,
     matching_polynomial_by_enumeration,
 )
-from beltmatch.mutation import exchange_matrix, noninitial_variables, variable_names
-from beltmatch.rootsys import CartanSpec, expected_root_count, positive_roots
+from beltmatch.mutation import noninitial_variables, roots, variable_names
+from beltmatch.rootsys import expected_root_count
 from beltmatch.tilegraphs import enumerate_family, graph_for_root, realize
 from beltmatch.verify import (
     check_belt_diamonds,
@@ -54,24 +54,37 @@ def test_ac1_theorem_equivalence_within_budget():
         oracle = noninitial_variables(family, rank)
         assert len(oracle) == EXPECTED_COUNTS[family](rank)
         for root, expected in sorted(oracle.items()):
-            assert cluster_expansion(family, rank, root) == expected, (family, rank, root)
+            assert cluster_expansion(family, rank, root).recombine() == expected, (family, rank, root)
         total += len(oracle)
     elapsed = time.perf_counter() - started
     _report("AC-1 (Theorem 1 equivalence)", elapsed < 60.0,
             f"{total} roots across {len(PAIRS)} pairs in {elapsed:.1f}s")
 
 
+def test_expansion_is_a_numerator_over_x_to_the_root():
+    # The paper's statement as the matching route returns it: the weighted
+    # matchings of G_root over x^root, the numerator free of any monomial
+    # factor, and equal to the belt variable's own split.
+    total = 0
+    for family, rank in PAIRS:
+        for root, expected in sorted(noninitial_variables(family, rank).items()):
+            split = cluster_expansion(family, rank, root)
+            assert split.denominator == root, (family, rank, root)
+            assert not any(split.numerator.min_exponents()), (family, rank, root)
+            assert split == expected.split(), (family, rank, root)
+            total += 1
+    _report("numerator over x^root", True, f"{total} roots across {len(PAIRS)} pairs")
+
+
 def test_ac2_family_bijection():
     for family, rank in PAIRS:
-        roots = positive_roots(
-            CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank))
-        )
-        assert len(roots) == expected_root_count(family, rank)
+        found = roots(family, rank)
+        assert len(found) == expected_root_count(family, rank)
         graphs = enumerate_family(family, rank)
         mus = [g.mu for g in graphs]
-        assert len(graphs) == len(roots)
+        assert len(graphs) == len(found)
         assert len(set(mus)) == len(mus)
-        assert set(mus) == set(roots)
+        assert set(mus) == set(found)
     _report("AC-2 (bijection)", True, f"{len(PAIRS)} families")
 
 
@@ -143,13 +156,12 @@ def test_ac7_folding():
 def test_ac8_specific_values():
     names3 = variable_names("A", 3)
     a3 = cluster_expansion("A", 3, (1, 1, 1))
-    assert a3 == noninitial_variables("A", 3)[(1, 1, 1)]
-    split = a3.split()
-    assert split.numerator == LP.parse("x2^2 + 2*x2 + x1*x3 + 1", 3, names3)
-    assert split.denominator == (1, 1, 1)
+    assert a3.recombine() == noninitial_variables("A", 3)[(1, 1, 1)]
+    assert a3.numerator == LP.parse("x2^2 + 2*x2 + x1*x3 + 1", 3, names3)
+    assert a3.denominator == (1, 1, 1)
     c2 = cluster_expansion("C", 2, (1, 0))
-    assert c2 == noninitial_variables("C", 2)[(1, 0)]
-    assert c2.split().numerator == LP.parse("x2^2 + 1", 2, variable_names("C", 2))
+    assert c2.recombine() == noninitial_variables("C", 2)[(1, 0)]
+    assert c2.numerator == LP.parse("x2^2 + 1", 2, variable_names("C", 2))
     for rank in (3, 4, 5):
         hexagon = matching_polynomial(realize(graph_for_root("B", rank, _e2(rank))))
         assert hexagon == LP.parse("x1^2*x3 + 1", rank, variable_names("B", rank))

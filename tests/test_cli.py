@@ -206,6 +206,23 @@ def test_expand_dot_format(capsys):
     assert '"h1.6" -- "h2.4"' in out
 
 
+@pytest.mark.parametrize("fmt,calls", [("json", 1), ("text", 1), ("dot", 0)])
+def test_expand_goes_through_cluster_expansion(capsys, monkeypatch, fmt, calls):
+    # The matching route has one entry: each expansion format asks it once,
+    # and the DOT export, which prints only the graph, never does.
+    seen = []
+    expansion = matchenum.cluster_expansion
+
+    def counted(*args):
+        seen.append(args)
+        return expansion(*args)
+
+    monkeypatch.setattr("beltmatch.cli.cluster_expansion", counted)
+    code, out = run(capsys, "expand", "--type", "B", "--rank", "3", "--root", "2,2,1", "--format", fmt)
+    assert code == 0 and out
+    assert seen == [("B", 3, (2, 2, 1))] * calls
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "roots.json"
     code = main(["roots", "--type", "A", "--rank", "2", "--format", "json", "--out", str(target)])
@@ -389,7 +406,7 @@ def test_core_value_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(*args):
         raise DimensionMismatchError("operands have 2 and 3 variables")
 
-    monkeypatch.setattr("beltmatch.cli.root_matching_polynomial", broken)
+    monkeypatch.setattr("beltmatch.cli.cluster_expansion", broken)
     assert main(["expand", "--type", "A", "--rank", "2", "--root", "1,0"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -7,7 +7,6 @@ import pytest
 from beltmatch import laurent, mutation, rootsys, tilegraphs, verify
 from beltmatch.laurent import LaurentPolynomial, MonomialFactorization
 from beltmatch.mutation import ExchangeMatrix, belt, exchange_matrix, initial_seed
-from beltmatch.rootsys import CartanSpec
 from beltmatch.tilegraphs import (
     DoubleHexLayout,
     HexBaseLayout,
@@ -22,7 +21,6 @@ from beltmatch.verify import CheckResult, ExtendedLatticeConfig, VerificationRep
 
 RECORDS = {
     "MonomialFactorization": lambda: MonomialFactorization(LaurentPolynomial.one(2), (1, 0)),
-    "CartanSpec": lambda: CartanSpec.from_exchange("A", 2, exchange_matrix("A", 2)),
     "ExchangeMatrix": lambda: ExchangeMatrix(exchange_matrix("G2", 2)),
     "Seed": lambda: initial_seed("B", 3),
     "BeltCell": lambda: belt("B", 3).rows[2][0],

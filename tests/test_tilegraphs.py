@@ -7,8 +7,7 @@ import json
 import pytest
 
 from beltmatch.errors import BijectionError
-from beltmatch.mutation import exchange_matrix
-from beltmatch.rootsys import CartanSpec, positive_roots
+from beltmatch import mutation
 from beltmatch.tilegraphs import (
     DoubleHexLayout,
     HexBaseLayout,
@@ -91,7 +90,7 @@ def test_family_sizes():
 )
 def test_family_bijects_with_positive_roots(family, rank):
     graphs = enumerate_family(family, rank)
-    roots = positive_roots(CartanSpec.from_exchange(family, rank, exchange_matrix(family, rank)))
+    roots = mutation.roots(family, rank)
     mus = [g.mu for g in graphs]
     assert len(set(mus)) == len(mus)
     assert sorted(mus) == sorted(roots)
