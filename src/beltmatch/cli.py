@@ -6,11 +6,11 @@ deterministic (terms and records sorted canonically).  ``verify --jobs N``
 (N >= 1) is accepted for compatibility only: checks always run one at a time,
 so N changes nothing, and ``verify`` prints the report's own rendering.  Exit
 codes: 0 success / all checks pass, 1 a verification check failed or raised,
-2 usage error (a ``belt --max-rows`` cap below the period included) or an
-unwritable output (an ``--out`` or ``--dot-dir`` path, or a closed or full
-stdout, help text included), 3 a crash: any other exception a command raises,
-a BijectionError or a failed root closure included, whose traceback goes to
-stderr while stdout stays empty.  ``main`` returns the code; ``run`` exits.
+2 a bad argument, a rejected input or an unwritable output (an ``--out`` or
+``--dot-dir`` path, or a closed or full stdout, help text included), 3 a
+crash: any other exception a command raises, a BijectionError or a failed
+root closure included, whose traceback goes to stderr while stdout stays
+empty.  ``main`` returns the code; ``run`` exits.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from contextlib import redirect_stdout
 from pathlib import Path
 from typing import NoReturn
 
-from .errors import CheckSelectionError, IterationLimitError, UnsupportedTypeError
+from .errors import CheckSelectionError, UnsupportedTypeError
 from .matchenum import cluster_expansion
 from .mutation import (
     FAMILIES,
@@ -75,11 +75,7 @@ def cmd_roots(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def cmd_belt(args: argparse.Namespace) -> tuple[int, str]:
-    roots(args.type, args.rank)  # a failed root closure is a crash, so raise it outside the gate
-    try:
-        lattice = belt(args.type, args.rank, args.max_rows)
-    except IterationLimitError as exc:  # a --max-rows cap below the period
-        raise argparse.ArgumentTypeError(str(exc)) from None
+    lattice = belt(args.type, args.rank)
     if args.format == "json":
         return 0, lattice.to_json()
     names = variable_names(args.type, args.rank)
@@ -165,15 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
     common(sub.add_parser("roots", help="positive roots in simple-root coordinates"))
-    p_belt = sub.add_parser("belt", help="belt lattice rows")
-    common(p_belt)
-    p_belt.add_argument(
-        "--max-rows",
-        type=_positive_int,
-        default=None,
-        help="cap on the mutation sweeps after the two initial rows (not on the printed "
-        "rows); fails if the sweeps have not covered every positive root by then",
-    )
+    common(sub.add_parser("belt", help="belt lattice rows"))
     common(sub.add_parser("variables", help="all non-initial cluster variables keyed by root"))
     p_graphs = sub.add_parser("graphs", help="the family of tile graphs")
     common(p_graphs)

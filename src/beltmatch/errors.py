@@ -30,7 +30,7 @@ class StructureError(RuntimeError):
 
 
 class IterationLimitError(RuntimeError):
-    """A closure or belt computation exceeded its hard iteration cap."""
+    """The root closure exceeded its hard iteration cap."""
 
 
 class ExponentOverflowError(ArithmeticError):

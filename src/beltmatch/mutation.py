@@ -29,11 +29,10 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
-from itertools import cycle, islice
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import BijectionError, InexactDivisionError, IterationLimitError, UnsupportedTypeError
+from .errors import BijectionError, InexactDivisionError, UnsupportedTypeError
 from .laurent import LaurentPolynomial
 from .rootsys import RootVector, positive_roots
 
@@ -274,9 +273,6 @@ class BeltLattice(NamedTuple):
     rows: tuple[tuple[BeltCell, ...], ...]
     values: Mapping[tuple[int, int], LaurentPolynomial]
 
-    def value(self, slot: int, superscript: int) -> LaurentPolynomial | None:
-        return self.values.get((slot, superscript))
-
     def to_json(self) -> str:
         names = variable_names(self.family, self.rank)
         labels = column_labels(self.family, self.rank)
@@ -296,12 +292,6 @@ class BeltLattice(NamedTuple):
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def _nonempty_sweeps(family: str, rank: int) -> int:
-    """Sweeps of one period that write a row: h, less A_1's empty even sweep."""
-    h = 2 * len(roots(family, rank)) // rank
-    return sum(1 for group in islice(cycle(parity_groups(family, rank)), h) if group)
 
 
 def _unfolded(family: str, rank: int) -> tuple[str, int, tuple[int, ...]]:
@@ -475,18 +465,9 @@ def _period(family: str, rank: int) -> tuple[BeltLattice, dict[RootVector, Laure
     return BeltLattice(family, rank, tuple(rows), MappingProxyType(values)), variables
 
 
-def belt(family: str, rank: int, max_rows: int | None = None) -> BeltLattice:
-    """The belt lattice: the two initial rows, then one row per sweep of a period.
-
-    The period's h sweeps (h = 2|roots|/n, the Coxeter number) are built once
-    per (family, rank) and shared (``_period``).  They cover every positive
-    root, so ``max_rows`` is only a gate: a cap below the period's non-empty
-    sweeps (h, or 1 at A_1) raises IterationLimitError before any is built.
-    """
-    if max_rows is not None and max_rows < _nonempty_sweeps(family, rank):
-        raise IterationLimitError(
-            f"belt for {family}_{rank} did not cover all positive roots in {max_rows} sweeps"
-        )
+def belt(family: str, rank: int) -> BeltLattice:
+    """The belt lattice: the two initial rows, then the h sweeps of one period,
+    built once per (family, rank) and shared (``_period``)."""
     return _period(family, rank)[0]
 
 
