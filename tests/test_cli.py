@@ -94,14 +94,14 @@ def test_belt_json(capsys):
     assert payload["rows"][0][0]["poly"] == "x1"
 
 
-def test_belt_max_rows_below_one_is_a_usage_error(capsys):
+@pytest.mark.parametrize("value", ["0", "-1", "4", str(10**9)])
+def test_belt_max_rows_below_one_is_a_usage_error(capsys, value):
     # The belt takes no cap: every --max-rows value is an unknown argument.
-    for value in ("0", "-1", "4", str(10**9)):
-        code = main(["belt", "--type", "A", "--rank", "3", "--max-rows", value, "--format", "text"])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        assert "--max-rows" in captured.err
+    code = main(["belt", "--type", "A", "--rank", "3", "--max-rows", value, "--format", "text"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--max-rows" in captured.err
 
 
 @pytest.mark.parametrize("command", ["roots", "belt", "variables"])
@@ -122,11 +122,32 @@ def test_a_failed_root_closure_is_a_crash(command):
     assert done.stderr.endswith("IterationLimitError: reflection closure failed to stabilise\n")
 
 
-def test_belt_max_rows_counts_sweeps_not_printed_rows(capsys):
-    # The two initial rows, then one per sweep of the period (h = 4 at A_3).
-    code, out = run(capsys, "belt", "--type", "A", "--rank", "3", "--format", "text")
+BELT_LADDER = (
+    [("A", r) for r in range(1, 12)]
+    + [("B", r) for r in range(2, 8)]
+    + [("C", r) for r in range(2, 8)]
+    + [("D", r) for r in range(4, 9)]
+    + [("G2", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", BELT_LADDER)
+def test_belt_max_rows_counts_sweeps_not_printed_rows(capsys, family, rank):
+    # The two initial rows, then one per sweep of the period (h = 4 at A_3,
+    # six lines); A_1's even row is empty and its even sweep writes none.
+    code, out = run(capsys, "belt", "--type", family, "--rank", str(rank), "--format", "text")
     assert code == 0
-    assert len(out.splitlines()) == 6
+    odd, even = mutation.parity_groups(family, rank)
+    h = 2 * len(mutation.roots(family, rank)) // rank
+    sweeps = [t for t in range(1, h + 1) if (odd if t % 2 else even)]
+    lines = out.splitlines()
+    assert len(lines) == 2 + len(sweeps)
+    if family == "A" and rank == 3:
+        assert len(lines) == 6
+    for t, line in zip(sweeps, lines[2:]):
+        cells = line.split("   ")
+        assert len(cells) == len(odd if t % 2 else even)
+        assert all(f"^({t})=" in cell for cell in cells)
 
 
 def test_expand_json_text_matches_text_format(capsys):

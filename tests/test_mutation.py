@@ -412,6 +412,26 @@ def test_a_cap_at_or_above_the_period_returns_the_shared_lattice(family, rank):
     assert belt(family, rank) is belt(family, rank)
 
 
+@pytest.mark.parametrize("family,rank", REFERENCE_LADDER)
+def test_one_period_reads_each_positive_root_once(family, rank):
+    # The h sweeps after the initial rows alternate the parity groups, write
+    # every non-empty one, and hold one variable per positive root, its
+    # denominator vector; ``values`` keys exactly the printed cells.
+    lattice = belt(family, rank)
+    odd, even = parity_groups(family, rank)
+    h = _coxeter_number(family, rank)
+    groups = [(t, odd if t % 2 else even) for t in range(1, h + 1)]
+    expected = [[(k, 0) for k in odd], [(k, 0) for k in even]]
+    expected += [[(k, t) for k in group] for t, group in groups if group]
+    assert [[(c.slot, c.superscript) for c in row] for row in lattice.rows] == expected
+    denominators = [
+        tuple(-m for m in cell.value.min_exponents()) for row in lattice.rows[2:] for cell in row
+    ]
+    assert sorted(denominators) == sorted(roots(family, rank))
+    cells = {(c.slot, c.superscript): c.value for row in lattice.rows for c in row}
+    assert dict(lattice.values) == cells
+
+
 def _counting_divisions(monkeypatch) -> list[int]:
     """Patch ``div_exact`` to count the divisions; return the counter."""
     divisions = [0]
