@@ -31,7 +31,6 @@ from .matchenum import (
 )
 from .mutation import (
     BeltLattice,
-    ExchangeMatrix,
     Seed,
     belt,
     exchange_matrix,
@@ -67,7 +66,6 @@ __all__ = [
     "BijectionError",
     "CheckSelectionError",
     "DimensionMismatchError",
-    "ExchangeMatrix",
     "ExponentOverflowError",
     "InexactDivisionError",
     "IterationLimitError",

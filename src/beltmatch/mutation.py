@@ -140,117 +140,33 @@ def mutate_matrix(rows: tuple[tuple[int, ...], ...], k: int) -> tuple[tuple[int,
     return tuple(out)
 
 
-class _ExchangeRows(NamedTuple):
-    rows: tuple[tuple[int, ...], ...]
-
-
-class ExchangeMatrix(_ExchangeRows):
-    """An exchange matrix; constructing one that is not skew-symmetrizable raises."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: tuple[tuple[int, ...], ...]) -> ExchangeMatrix:
-        matrix = super().__new__(cls, rows)
-        if matrix.skew_symmetrizer() is None:
-            raise ValueError("exchange matrix is not skew-symmetrizable")
-        return matrix
-
-    @classmethod
-    def _make(cls, iterable) -> ExchangeMatrix:
-        # ``_replace`` builds through ``_make``, so it is checked too.
-        return cls(*iterable)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
-    def mutate(self, k: int) -> ExchangeMatrix:
-        return ExchangeMatrix(mutate_matrix(self.rows, k))
-
-    def is_bipartite(self) -> bool:
-        return all(
-            all(v >= 0 for v in row) or all(v <= 0 for v in row) for row in self.rows
-        )
-
-    def skew_symmetrizer(self) -> tuple[int, ...] | None:
-        """Positive integers d with d_i b_ij = -d_j b_ji, or None.
-
-        Each connected component is walked from its first node with d = 1 and
-        scaled up by the least factor that keeps it integral whenever a ratio
-        |b_ij| / |b_ji| would leave the integers, so its entries stay coprime.
-        Every component is then scaled so that all first nodes read the lcm
-        of their values: the least integer vector in which each first node
-        has the same value.
-        """
-        rows = self.rows
-        n = len(rows)
-        d = [0] * n  # 0 marks a node not reached yet
-        components: list[tuple[list[int], int]] = []
-        for start in range(n):
-            if d[start]:
-                continue
-            d[start] = 1
-            component = [start]
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(n):
-                    bij, bji = rows[i][j], rows[j][i]
-                    if bij == 0 and bji == 0:
-                        continue
-                    if bij == 0 or bji == 0 or bij * bji > 0:
-                        return None
-                    if d[j]:
-                        if d[j] * abs(bji) != d[i] * abs(bij):
-                            return None
-                        continue
-                    numerator = d[i] * abs(bij)
-                    scale = abs(bji) // math.gcd(numerator, abs(bji))
-                    if scale > 1:
-                        for m in component:
-                            d[m] *= scale
-                        numerator *= scale
-                    d[j] = numerator // abs(bji)
-                    component.append(j)
-                    stack.append(j)
-            components.append((component, d[start]))
-        lcm = math.lcm(*(first for _, first in components))
-        for component, first in components:
-            for m in component:
-                d[m] *= lcm // first
-        return tuple(d)
-
-
 class Seed(NamedTuple):
-    """A cluster of Laurent polynomials together with an exchange matrix."""
+    """A cluster of Laurent polynomials together with the integer rows of its
+    exchange matrix."""
 
     cluster: tuple[LaurentPolynomial, ...]
-    matrix: ExchangeMatrix
+    matrix: tuple[tuple[int, ...], ...]
 
     def mutate(self, k: int) -> Seed:
         """Binomial exchange in direction k (row convention), matrix mutated alongside."""
-        n = self.matrix.n
-        if not 0 <= k < n:
+        if not 0 <= k < len(self.matrix):
             raise IndexError(f"mutation direction {k} out of range")
         nvars = self.cluster[0].nvars
         pos = LaurentPolynomial.one(nvars)
         neg = LaurentPolynomial.one(nvars)
-        for j, b in enumerate(self.matrix.rows[k]):
+        for j, b in enumerate(self.matrix[k]):
             if b > 0:
                 pos = pos * self.cluster[j] ** b
             elif b < 0:
                 neg = neg * self.cluster[j] ** (-b)
         new_entry = (pos + neg).div_exact(self.cluster[k])
         cluster = self.cluster[:k] + (new_entry,) + self.cluster[k + 1 :]
-        return Seed(cluster, self.matrix.mutate(k))
+        return Seed(cluster, mutate_matrix(self.matrix, k))
 
 
 def initial_seed(family: str, rank: int) -> Seed:
-    matrix = ExchangeMatrix(exchange_matrix(family, rank))
-    if not matrix.is_bipartite():
-        raise ValueError("initial exchange matrix must have rows of like sign")
     cluster = tuple(LaurentPolynomial.variable(i, rank) for i in range(rank))
-    return Seed(cluster, matrix)
+    return Seed(cluster, exchange_matrix(family, rank))
 
 
 class BeltCell(NamedTuple):

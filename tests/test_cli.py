@@ -95,7 +95,7 @@ def test_belt_json(capsys):
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "4", str(10**9)])
-def test_belt_max_rows_below_one_is_a_usage_error(capsys, value):
+def test_belt_rejects_max_rows_as_an_unknown_argument(capsys, value):
     # The belt takes no cap: every --max-rows value is an unknown argument.
     code = main(["belt", "--type", "A", "--rank", "3", "--max-rows", value, "--format", "text"])
     captured = capsys.readouterr()
@@ -132,7 +132,7 @@ BELT_LADDER = (
 
 
 @pytest.mark.parametrize("family,rank", BELT_LADDER)
-def test_belt_max_rows_counts_sweeps_not_printed_rows(capsys, family, rank):
+def test_belt_text_prints_one_line_per_nonempty_sweep(capsys, family, rank):
     # The two initial rows, then one per sweep of the period (h = 4 at A_3,
     # six lines); A_1's even row is empty and its even sweep writes none.
     code, out = run(capsys, "belt", "--type", family, "--rank", str(rank), "--format", "text")

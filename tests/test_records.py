@@ -6,7 +6,7 @@ import pytest
 
 from beltmatch import laurent, mutation, rootsys, tilegraphs, verify
 from beltmatch.laurent import LaurentPolynomial, MonomialFactorization
-from beltmatch.mutation import ExchangeMatrix, belt, exchange_matrix, initial_seed
+from beltmatch.mutation import belt, initial_seed
 from beltmatch.tilegraphs import (
     DoubleHexLayout,
     HexBaseLayout,
@@ -21,7 +21,6 @@ from beltmatch.verify import CheckResult, ExtendedLatticeConfig, VerificationRep
 
 RECORDS = {
     "MonomialFactorization": lambda: MonomialFactorization(LaurentPolynomial.one(2), (1, 0)),
-    "ExchangeMatrix": lambda: ExchangeMatrix(exchange_matrix("G2", 2)),
     "Seed": lambda: initial_seed("B", 3),
     "BeltCell": lambda: belt("B", 3).rows[2][0],
     "BeltLattice": lambda: belt("B", 3),
@@ -63,11 +62,4 @@ def test_every_public_record_type_is_listed():
         and not name.startswith("_")
     }
     assert found == set(RECORDS)
-
-
-def test_exchange_matrix_replace_is_checked():
-    matrix = ExchangeMatrix(exchange_matrix("B", 3))
-    assert matrix._replace(rows=exchange_matrix("C", 3)).skew_symmetrizer() == (1, 2, 2)
-    with pytest.raises(ValueError, match="not skew-symmetrizable"):
-        matrix._replace(rows=((0, 1), (1, 0)))
 
