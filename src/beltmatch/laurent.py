@@ -417,18 +417,12 @@ class LaurentPolynomial:
     # -- substitution --------------------------------------------------------
 
     def substitute(self, assignment: Mapping[int, LaurentPolynomial]) -> LaurentPolynomial:
-        """Simultaneous substitution of polynomials for variable slots.
-
-        The target ring is the assigned values' ring (self's ring when nothing
-        is assigned); unassigned slots map to the same slot of it.  A negative
-        power of an assigned value raises PoleError unless the value is a
-        nonzero monomial, and InexactDivisionError unless its coefficient is a
-        unit.
-
-        Each value**power is computed once.  While its factors have at most
-        one term, a term only moves its packed key and scales its coefficient
-        (zero drops it; its slots are still all checked).
-        """
+        """The monomial map sending each assigned slot to its value, into the
+        values' one ring (self's ring when nothing is assigned), where each
+        unassigned slot maps to itself.  Raises DimensionMismatchError for values
+        in two rings or an unassigned slot outside the target, ValueError for a
+        value of two or more terms, PoleError for a zero value at a negative
+        power, and InexactDivisionError for a non-unit coefficient there."""
         if assignment:
             sizes = {v.nvars for v in assignment.values()}
             if len(sizes) != 1:
@@ -436,19 +430,22 @@ class LaurentPolynomial:
             target = sizes.pop()
         else:
             target = self.nvars
+        for slot, value in assignment.items():
+            if len(value) > 1:
+                raise ValueError(f"slot {slot} is assigned {len(value)} terms, not a monomial")
 
         unpack = _unpacker(self.nvars)
         zero = _zero_key(target)
         low = zero >> 1
-        powers: dict[tuple[int, int], LaurentPolynomial] = {}  # (slot, power) -> value**power
+        moves: dict[tuple[int, int], tuple[int, int]] = {}  # (slot, power) -> key offset, coeff
         out: dict[int, int] = {}
         for key, coeff in self._terms.items():
-            shifted, acc = zero, None
+            shifted = zero
             for slot, power in enumerate(unpack(key)):
                 if power == 0:
                     continue
-                factor = powers.get((slot, power))
-                if factor is None:
+                move = moves.get((slot, power))
+                if move is None:
                     value = assignment.get(slot)
                     if value is None:
                         if slot >= target:
@@ -456,24 +453,18 @@ class LaurentPolynomial:
                                 f"unassigned slot {slot} does not exist in a {target}-variable ring"
                             )
                         value = LaurentPolynomial.variable(slot, target)
-                    elif power < 0 and not value.is_monomial:
+                    elif power < 0 and value.is_zero:
                         raise PoleError(
                             f"negative power of slot {slot} needs a nonzero monomial value; "
                             "clear denominators first"
                         )
-                    factor = powers[slot, power] = value**power
-                if acc is None and len(factor._terms) <= 1:
-                    # A zero factor drops the term; in-range keys add without a carry.
-                    (k, c), = factor._terms.items() or ((zero, 0),)
-                    shifted, coeff = shifted + k - zero, coeff * c
-                    if coeff and (shifted ^ (shifted >> 1)) & low != low:
-                        _check_range((shifted,), target)
-                    continue
-                if acc is None:
-                    acc = LaurentPolynomial._adopt({shifted: coeff} if coeff else {}, target)
-                acc = acc * factor
-            for k, c in acc._terms.items() if acc is not None else ((shifted, coeff),):
-                out[k] = out.get(k, 0) + c
+                    (k, c), = (value**power)._terms.items() or ((zero, 0),)
+                    move = moves[slot, power] = k - zero, c
+                # A zero value drops the term; in-range keys add without a carry.
+                shifted, coeff = shifted + move[0], coeff * move[1]
+                if coeff and (shifted ^ (shifted >> 1)) & low != low:
+                    _check_range((shifted,), target)
+            out[shifted] = out.get(shifted, 0) + coeff
         return LaurentPolynomial._adopt({k: c for k, c in out.items() if c}, target)
 
     # -- numerator/denominator splitting -------------------------------------

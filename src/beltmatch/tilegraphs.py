@@ -75,28 +75,12 @@ def tile_set(family: str, rank: int) -> dict[int, Tile]:
             tiles[i] = Tile(i, "square", (("N", north), ("E", None), ("S", south), ("W", None)))
         return tiles
 
-    if family == "G2":
-        tiles[1] = Tile(1, "trapezoid", (("N", slot(2)), ("E", None), ("S", None), ("W", None)))
-        tiles[2] = Tile(
-            2,
-            "hexagon",
-            (
-                ("P1", None),
-                ("P2", slot(1)),
-                ("P3", None),
-                ("P4", slot(1)),
-                ("P5", None),
-                ("P6", slot(1)),
-            ),
-        )
-        return tiles
-
     top = max(nodes(family, rank))  # D_n tiles run up to n-1
     trapezoid = Tile(1, "trapezoid", (("N", slot(2)), ("E", None), ("S", None), ("W", None)))
     tiles[1] = trapezoid
     if family == "D":
         tiles[-1] = Tile(-1, "trapezoid", trapezoid.edges)
-    south_slot = slot(1) if family == "B" else slot(-1)
+    south_slot = slot(-1) if family == "D" else slot(1)
     tiles[2] = Tile(
         2,
         "hexagon",
@@ -106,7 +90,7 @@ def tile_set(family: str, rank: int) -> dict[int, Tile]:
             ("P3", None),
             ("P4", south_slot),
             ("P5", None),
-            ("P6", slot(3) if top >= 3 else None),
+            ("P6", slot(1) if family == "G2" else slot(3) if top >= 3 else None),
         ),
     )
     for i in range(3, top + 1):
