@@ -182,10 +182,6 @@ class LaurentPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    @property
-    def is_monomial(self) -> bool:
-        return len(self._terms) == 1
-
     def terms(self) -> list[tuple[ExponentVector, int]]:
         """Terms in canonical (descending lexicographic) order."""
         unpack = _unpacker(self.nvars)

@@ -21,7 +21,7 @@ rank): ``nodes`` gives the node each slot of the ambient ring holds (for
 D_n the order (1, 1bar, 2, 3, ..., n-1), with 1bar written -1), and
 ``_bonds`` gives each edge with its two multiplicities.  The labels, the
 variable names, the odd/even sweeps and the bipartite initial exchange
-matrix all derive from these two, as do the tile slots in ``tilegraphs``.
+matrix all derive from these two, as do the tile weights in ``tilegraphs``.
 """
 
 from __future__ import annotations

@@ -13,32 +13,35 @@ before being frozen.
 
 Tile T_i belongs to Dynkin node i (T_1bar is index -1).  Its ambient slot,
 its label, and the top tile index all come from ``mutation.nodes`` and
-``mutation.node_label``, as does each graph's multiplicity vector mu.
+``mutation.node_label``, as does each graph's multiplicity vector mu.  Its
+weights are x_i's neighbours in the exchange relation: T_i carries |b_ij|
+edges of x_j, read off ``mutation.exchange_matrix`` by one rule
+(``tile_set``), so a family states only its shapes and gluings.
 
 Families and their graphs:
 
 * A_n: squares glued in a row; graphs are the intervals T_i..T_j.
-* C_n: same squares, but T_1 carries x_2 on two opposite edges; graphs are
-  the intervals plus the multisets T_i..T_2 T_1 T_2..T_j.
+* C_n: the same squares, T_1 weighing x_2 on two opposite edges (|b_12| =
+  2); graphs are the intervals plus the multisets T_i..T_2 T_1 T_2..T_j.
 * B_n: a trapezoid T_1, a hexagon T_2, and counter-clockwise-rotated squares
-  T_3..T_n that stack into towers above the hexagon; the trapezoid may be
-  doubled, and doubling the hexagon yields two-tower graphs joined by a
-  bridging trapezoid.
-* D_n: the B_(n-1) shapes with a twin trapezoid T_1bar and a hexagon whose
-  southern weight is x_1bar.
-* G_2: the trapezoid and a hexagon with three x_1 edges; up to three
-  trapezoids attach, and the double-hexagon shape mirrors B_3.
+  T_3..T_n that stack into towers above the hexagon; up to |b_21| = 2
+  trapezoids attach to the hexagon, and doubling the hexagon yields
+  two-tower graphs joined by a bridging trapezoid.
+* D_n: the B_(n-1) shapes with a twin trapezoid T_1bar.
+* G_2: the B_2 shapes, up to |b_21| = 3 trapezoids attaching, and one
+  double-hexagon shape mirroring B_3.
 """
 
 from __future__ import annotations
 
 import json
 from functools import cache
-from typing import NamedTuple, Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence, Union
 
 from .errors import BijectionError, StructureError
 from .laurent import LaurentPolynomial
-from .mutation import check_supported, node_label, nodes, roots, variable_names
+from .mutation import check_supported, exchange_matrix, node_label, nodes, roots, variable_names
 from .rootsys import RootVector
 
 Weight = Union[int, None]  # ambient variable slot, None for a unit edge
@@ -62,42 +65,39 @@ class Tile(NamedTuple):
         raise KeyError(label)
 
 
-def tile_set(family: str, rank: int) -> dict[int, Tile]:
-    """The tile catalogue keyed by tile index; T_i weighs x_j by the slot of node j."""
-    slot = nodes(family, rank).index
-    tiles: dict[int, Tile] = {}
-    if family in ("A", "C"):
-        for i in range(1, rank + 1):
-            north = slot(i + 1) if i + 1 <= rank else None
-            south = slot(i - 1) if i - 1 >= 1 else None
-            if family == "C" and i == 1:
-                north = south = slot(2) if rank >= 2 else None
-            tiles[i] = Tile(i, "square", (("N", north), ("E", None), ("S", south), ("W", None)))
-        return tiles
+@cache
+def tile_set(family: str, rank: int) -> Mapping[int, Tile]:
+    """The tile catalogue keyed by tile index, in slot order (cached, read-only).
 
-    top = max(nodes(family, rank))  # D_n tiles run up to n-1
-    trapezoid = Tile(1, "trapezoid", (("N", slot(2)), ("E", None), ("S", None), ("W", None)))
-    tiles[1] = trapezoid
-    if family == "D":
-        tiles[-1] = Tile(-1, "trapezoid", trapezoid.edges)
-    south_slot = slot(-1) if family == "D" else slot(1)
-    tiles[2] = Tile(
-        2,
-        "hexagon",
-        (
-            ("P1", None),
-            ("P2", slot(1)),
-            ("P3", None),
-            ("P4", south_slot),
-            ("P5", None),
-            ("P6", slot(1) if family == "G2" else slot(3) if top >= 3 else None),
-        ),
-    )
-    for i in range(3, top + 1):
-        west = slot(i + 1) if i + 1 <= top else None
-        east = slot(i - 1)
-        tiles[i] = Tile(i, "square", (("N", None), ("E", east), ("S", None), ("W", west)))
-    return tiles
+    T_i carries |b_ij| edges of x_j, one per copy, read off row i of the
+    exchange matrix in slot order (a weight is the slot of node j).  Only
+    the shape depends on the family: every tile of A_n and C_n is a square,
+    and B_n, D_n and G_2 have trapezoids T_1 (and T_1bar), the hexagon T_2
+    and squares T_3.. turned a quarter counter-clockwise.  A square puts a
+    neighbour above i on its upper edge (N, or W turned) and one below on
+    its lower edge (S, or E), a copy whose edge is taken filling the other
+    (C_n's T_1 weighs x_2 twice); the hexagon fills P2, P4, P6 and a
+    trapezoid N, in slot order.
+    """
+    order = nodes(family, rank)
+    tiles: dict[int, Tile] = {}
+    for i, row in zip(order, exchange_matrix(family, rank)):
+        if family in ("A", "C"):
+            shape, weighted = "square", ("N", "S")
+        elif abs(i) == 1:
+            shape, weighted = "trapezoid", ("N",)
+        elif i == 2:
+            shape, weighted = "hexagon", ("P2", "P4", "P6")
+        else:
+            shape, weighted = "square", ("W", "E")
+        edges = ("P1", "P2", "P3", "P4", "P5", "P6") if shape == "hexagon" else ("N", "E", "S", "W")
+        weights: dict[str, Weight] = dict.fromkeys(edges)
+        free = list(weighted)  # a square takes a neighbour below from the lower end
+        for j, b in enumerate(row):
+            for _ in range(abs(b)):
+                weights[free.pop(-1 if shape == "square" and order[j] < i else 0)] = j
+        tiles[i] = Tile(i, shape, tuple(weights.items()))
+    return MappingProxyType(tiles)
 
 
 # -- layouts ------------------------------------------------------------------
@@ -199,36 +199,26 @@ def enumerate_family(family: str, rank: int) -> tuple[TileGraph, ...]:
                 for j in range(i, rank + 1):
                     indices = tuple(range(i, 1, -1)) + (1,) + tuple(range(2, j + 1))
                     graphs.append(_make_graph(family, rank, StripLayout(indices)))
-    elif family == "G2":
-        spots = ("P5", "P3", "P1")
-        graphs.append(_make_graph(family, rank, LoneTrapezoidLayout(1)))
-        for k in range(4):
-            traps = tuple((spot, 1) for spot in spots[:k])
-            graphs.append(_make_graph(family, rank, HexBaseLayout(traps, ())))
-        graphs.append(
-            _make_graph(family, rank, DoubleHexLayout((("P5", 1),), (), (), (("P1", 1),)))
-        )
     else:
-        top = max(nodes(family, rank))
-        lone = (1,) if family == "B" else (1, -1)
-        for index in lone:
-            graphs.append(_make_graph(family, rank, LoneTrapezoidLayout(index)))
+        order = nodes(family, rank)
+        top = max(order)
+        for index in order:
+            if abs(index) == 1:
+                graphs.append(_make_graph(family, rank, LoneTrapezoidLayout(index)))
         for a in range(3, top + 1):
             for b in range(a, top + 1):
                 graphs.append(_make_graph(family, rank, TowerLayout(tuple(range(a, b + 1)))))
-        if family == "B":
+        if family == "D":
             trap_choices: tuple[tuple[tuple[str, int], ...], ...] = (
-                (),
-                (("P5", 1),),
-                (("P5", 1), ("P3", 1)),
-            )
-        else:
-            trap_choices = (
                 (),
                 (("P3", 1),),
                 (("P5", -1),),
                 (("P3", 1), ("P5", -1)),
             )
+        else:  # the first k of P5, P3, P1, for k up to |b_21| (T_2's edges of x_1)
+            bond = abs(exchange_matrix(family, rank)[order.index(2)][order.index(1)])
+            spots = ("P5", "P3", "P1")
+            trap_choices = tuple(tuple((s, 1) for s in spots[:k]) for k in range(bond + 1))
         for traps in trap_choices:
             for b in range(2, top + 1):
                 tower = tuple(range(3, b + 1))
@@ -236,6 +226,10 @@ def enumerate_family(family: str, rank: int) -> tuple[TileGraph, ...]:
         for p in range(2, top + 1):
             for b in range(p + 1, top + 1):
                 graphs.append(_double_hex_graph(family, rank, top, p, b))
+        if family == "G2":
+            graphs.append(
+                _make_graph(family, rank, DoubleHexLayout((("P5", 1),), (), (), (("P1", 1),)))
+            )
     graphs.sort(key=lambda g: g.mu)
     return tuple(graphs)
 
@@ -342,7 +336,7 @@ def strip_graph(
 def _hexagon(
     builder: _GraphBuilder,
     prefix: str,
-    tiles: dict[int, Tile],
+    tiles: Mapping[int, Tile],
     traps: Sequence[tuple[str, int]],
     tower: Sequence[int],
 ) -> list[str]:
@@ -379,7 +373,7 @@ def _attach_tower(
     builder: _GraphBuilder,
     base: tuple[str, str],
     prefix: str,
-    tiles: dict[int, Tile],
+    tiles: Mapping[int, Tile],
     indices: Sequence[int],
 ) -> None:
     """Stack rotated squares on the ``base`` rung (left, right).

@@ -386,7 +386,7 @@ def test_dot_dir_on_an_existing_file_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error: ")
 
 
-@pytest.mark.parametrize("jobs", ["0", "-4"])
+@pytest.mark.parametrize("jobs", ["0", "-4", "two"])
 def test_verify_jobs_below_one_is_a_usage_error(capsys, jobs):
     code, out = run(capsys, "verify", "--type", "A", "--rank", "3", "--jobs", jobs, "--format", "text")
     assert code == 2

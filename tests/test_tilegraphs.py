@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from beltmatch.tilegraphs import (
     LoneTrapezoidLayout,
     MatchingGraph,
     StripLayout,
+    Tile,
     TowerLayout,
     enumerate_family,
     graph_for_root,
@@ -36,9 +38,15 @@ def test_a5_tiles():
     assert tiles[3].weight("N") == 3 and tiles[3].weight("S") == 1
 
 
-def test_c3_first_tile_has_opposite_weights():
-    tiles = tile_set("C", 3)
+def test_a1_tile_has_no_weights():
+    assert tile_set("A", 1) == {1: Tile(1, "square", (("N", None), ("E", None), ("S", None), ("W", None)))}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_c_first_tile_has_opposite_weights(rank):
+    tiles = tile_set("C", rank)
     assert tiles[1].weight("N") == 1 and tiles[1].weight("S") == 1
+    assert tiles[2].weight("S") == 0
 
 
 def test_b4_hexagon_weights_clockwise_from_top():
@@ -58,12 +66,21 @@ def test_b_rotated_squares_and_boundary_tile():
     assert tiles[5].weight("W") is None and tiles[5].weight("E") == 3
 
 
-def test_d5_tiles_have_the_twin_trapezoid():
-    tiles = tile_set("D", 5)
+@pytest.mark.parametrize("rank", [4, 5])
+def test_d_tiles_have_the_twin_trapezoid(rank):
+    tiles = tile_set("D", rank)
+    assert list(tiles) == [1, -1, *range(2, rank)]  # D_n tiles stop at T_(n-1)
     assert tiles[1].shape == "trapezoid" and tiles[-1].shape == "trapezoid"
+    assert tiles[1].weight("N") == tiles[-1].weight("N") == 2
     hexagon = tiles[2]
     assert [hexagon.weight(f"P{m}") for m in range(1, 7)] == [None, 0, None, 1, None, 3]
-    assert 5 not in tiles  # D_5 tiles stop at T_4
+
+
+def test_tile_set_is_shared_and_read_only():
+    tiles = tile_set("B", 3)
+    assert tile_set("B", 3) is tiles
+    with pytest.raises(TypeError):
+        tiles[1] = tiles[2]
 
 
 def test_g2_hexagon_has_three_weighted_edges():
@@ -255,3 +272,29 @@ def test_tilegraph_json_fields():
     assert payload["mu"] == [2, 2, 1]
     assert payload["arcs"] == [["h1.6", "h2.4"]]
     assert sum(1 for t in payload["tiles"] if t["shape"] == "hexagon") == 2
+
+
+# -- the catalogue digest -------------------------------------------------------------------
+
+# Recorded once from the code before the tile weights came to be read off the
+# exchange matrix by one rule and G_2's catalogue came to run the B_n path;
+# never re-recorded to make a change pass.  It pins every tile (items and key
+# order), and the JSON and DOT of every family graph, in catalogue order.
+CATALOGUE_RUNGS = (
+    [("A", n) for n in range(1, 13)]
+    + [("B", n) for n in range(2, 11)]
+    + [("C", n) for n in range(2, 11)]
+    + [("D", n) for n in range(4, 11)]
+    + [("G2", 2)]
+)
+CATALOGUE_DIGEST = "dc05dcbbc8d57a65062ca7728005de80bc19881f50534521c09f58d89470b200"
+
+
+def test_tiles_and_family_graphs_match_the_golden_digest():
+    digest = hashlib.sha256()
+    for family, rank in CATALOGUE_RUNGS:
+        digest.update(repr(list(tile_set(family, rank).items())).encode() + b"\0")
+        for graph in enumerate_family(family, rank):
+            digest.update(tilegraph_to_json(graph).encode() + b"\0")
+            digest.update(to_dot(realize(graph)).encode() + b"\0")
+    assert digest.hexdigest() == CATALOGUE_DIGEST

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from beltmatch import verify
+from beltmatch.cli import main
 from beltmatch.errors import CheckSelectionError, PoleError
 from beltmatch.laurent import LaurentPolynomial as LP
 from beltmatch.matchenum import matching_polynomial, strip_transfer_polynomial
@@ -270,3 +271,102 @@ def test_run_checks_json_is_the_same_with_the_memo_cold_and_warm(cold_strip_memo
     warm = run_checks("B", 3, ["all"]).to_json()
     assert verify._strip_polynomial.cache_info().hits > 0
     assert cold == warm
+
+
+# -- failure paths ------------------------------------------------------------------------
+
+
+def _duplicate_a_graph(real):
+    return lambda family, rank: real(family, rank) + real(family, rank)[:1]
+
+
+def _drop_a_graph(real):
+    return lambda family, rank: real(family, rank)[:-1]
+
+
+def _negate_a_variable(real):
+    def variables(family, rank):
+        found = real(family, rank)
+        root = min(found)
+        found[root] = -found[root]
+        return found
+
+    return variables
+
+
+def _double_each_numerator(real):
+    def expansion(family, rank, root):
+        split = real(family, rank, root)
+        return split._replace(numerator=split.numerator + split.numerator)
+
+    return expansion
+
+
+def _add_the_left_end(real):
+    # Off by the window's left end, so no two windows of a check agree.
+    return lambda config, lo, hi: real(config, lo, hi) + LP.constant(lo, config.nvars)
+
+
+def _fold_onto_x1(real):
+    return lambda n: {s: LP.variable(0, n) for s in range(2 * n - 1)}
+
+
+# (module global, its breaker, check, family, rank, counterexample keys)
+FAILURES = [
+    pytest.param("enumerate_family", _duplicate_a_graph, "theorem", "A", 3, {"why"}, id="repeated-mu"),
+    pytest.param(
+        "enumerate_family",
+        _drop_a_graph,
+        "theorem",
+        "A",
+        3,
+        {"why", "family_only", "roots_only"},
+        id="missing-root",
+    ),
+    pytest.param(
+        "noninitial_variables",
+        _negate_a_variable,
+        "theorem",
+        "B",
+        3,
+        {"root", "why", "belt"},
+        id="nonpositive-coefficient",
+    ),
+    pytest.param(
+        "cluster_expansion",
+        _double_each_numerator,
+        "theorem",
+        "G2",
+        2,
+        {"root", "belt", "matching", "difference"},
+        id="matching-differs",
+    ),
+    pytest.param("strip_limit", _add_the_left_end, "centerone", "A", 2, {"got", "expected"}, id="centerone"),
+    pytest.param("strip_limit", _add_the_left_end, "excision", "A", 2, {"whole", "excised"}, id="excision"),
+    pytest.param(
+        "folding_assignment_a_to_c", _fold_onto_x1, "folding", "C", 3, {"extra", "missing"}, id="folding"
+    ),
+]
+
+
+@pytest.mark.parametrize("target,breaker,check,family,rank,keys", FAILURES)
+def test_a_broken_identity_is_a_failed_check_with_its_counterexample(
+    monkeypatch, capsys, target, breaker, check, family, rank, keys
+):
+    monkeypatch.setattr(verify, target, breaker(getattr(verify, target)))
+    argv = ["verify", "--type", family, "--rank", str(rank), "--checks", check]
+    assert main(argv + ["--format", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is False
+    failed = [c for c in payload["checks"] if not c["passed"]]
+    assert failed and all(set(c["details"]["counterexample"]) == keys for c in failed)
+    assert main(argv + ["--format", "text"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "some checks FAILED"
+    for c in failed:
+        details = c["details"]
+        if "roots_checked" in details:  # theorem's note is its root count
+            note = f"({details['roots_checked']} roots checked)"
+        else:
+            note = json.dumps(details["counterexample"], sort_keys=True)
+        assert f"FAIL {c['name']} {note}" in lines
